@@ -115,10 +115,6 @@ struct IoCounts {
     d.zip(o, [](std::uint64_t& a, std::uint64_t b) { a -= b; });
     return d;
   }
-  IoCounts& operator+=(const IoCounts& o) {
-    zip(o, [](std::uint64_t& a, std::uint64_t b) { a += b; });
-    return *this;
-  }
 
  private:
   /// Applies f(mine, theirs) to every counter.

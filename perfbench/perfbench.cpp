@@ -11,8 +11,10 @@
 //   set-up (repeated; the median is setup_s), then a timed phase: write
 //   rounds (trainer steps, then flush) followed by reads (recover_latest
 //   alternating with load_checkpoint of the oldest retained entry). The
-//   number of rounds is fixed per workload and proportional to
-//   --seconds, with at least kMinSamples reads of each kind.
+//   numbers of rounds and reads are fixed per workload and proportional
+//   to --seconds, with at least kMinSamples checkpoints and kMinSamples
+//   read samples of each kind. A read sample is the mean wall time of
+//   read_batch consecutive calls.
 // Every recovered or restored state is compared bit-exact with the
 // generator's oracle (stategen.hpp).
 //
@@ -34,7 +36,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <fcntl.h>
@@ -84,12 +85,12 @@ struct Workload {
   bool tiered = false;
   int setups = 5;                  ///< set-ups per run (median = setup_s)
   std::uint64_t setup_steps = 1;   ///< steps taken during set-up
-  std::size_t rounds = 0;          ///< timed rounds at kReferenceSeconds
+  std::size_t rounds = 0;          ///< write rounds at kReferenceSeconds
   std::size_t round_steps = 1;     ///< trainer steps per round
-  std::size_t round_reads = 1;     ///< recover/restore pairs per round
-  /// The trainer's own step compute, modeled as a pause before each
-  /// maybe_checkpoint call (it runs no program code).
-  int step_pause_ms = 0;
+  std::size_t reads = 0;  ///< read samples of each kind at kReferenceSeconds
+  /// Calls per read sample. Sub-millisecond reads are timed in batches,
+  /// so that a timer read or a scheduler wake-up is not a sample's tail.
+  std::size_t read_batch = 1;
 };
 
 Workload make_workload(const std::string& name, std::uint64_t seed) {
@@ -105,9 +106,11 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     // Set-up ends 11 steps past its install and rounds are 16 steps, so
     // every recovery replays a journal of 11 records.
     w.setup_steps = 12;
-    w.rounds = 1500;
+    w.rounds = 750;
     w.round_steps = 16;
-    w.setups = 31;
+    w.reads = 1100;
+    w.read_batch = 8;
+    w.setups = 101;
   } else if (name == "large-drift") {
     w.gen.sim_bytes = std::size_t{32} << 20;
     w.gen.chunk_bytes = std::size_t{64} << 10;
@@ -115,13 +118,10 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     w.policy.chunk_bytes = w.gen.chunk_bytes;
     w.policy.every_steps = 1;
     w.policy.async = true;
-    // A 21-qubit simulator step takes on the order of 100 ms. With that
-    // step time the async pipeline keeps up, so stall_ms is what the
-    // trainer pays per checkpoint rather than a saturated queue's wait.
-    w.step_pause_ms = 100;
     w.rounds = 28;
     w.round_steps = 4;
-    w.round_reads = 4;
+    // Three windows of read samples (see add_percentiles).
+    w.reads = 336;
     w.setups = 9;
   } else if (name == "recover-tiered") {
     // 64 chunks per state and a depth-7 delta chain, as at 16 MiB with
@@ -141,9 +141,11 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     w.setup_steps = 24;
     // Rounds of full_every steps, so the newest entry is always the
     // depth-7 tip of a chain and the oldest retained one a full.
-    w.rounds = 112;
+    w.rounds = 40;
     w.round_steps = 8;
-    w.round_reads = 1;
+    // Two windows of read samples (see add_percentiles).
+    w.reads = 220;
+    w.setups = 9;
   } else {
     throw std::invalid_argument("unknown workload '" + name + "'");
   }
@@ -242,18 +244,42 @@ double percentile(std::vector<double>& v, double q) {
   return v[std::max<std::size_t>(rank, 1) - 1];
 }
 
-/// Adds NAME.p50 and NAME.p90; p90 only with >= 10 samples beyond it.
+/// Median of `v` (sorted in place); the mean of the middle two when
+/// their number is even.
+double median(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 != 0 ? v[h] : (v[h - 1] + v[h]) / 2;
+}
+
+/// Adds NAME.p50 and NAME.p90 of `ms` (in the order measured). p90 is
+/// reported only with >= 10 samples beyond it. When there are enough
+/// samples, the phase is cut into consecutive windows of at least
+/// kMinSamples and p90 is the median of the windows' p90s: a burst of
+/// load from outside the program that covers less than half the phase
+/// then does not set the tail.
 void add_percentiles(Metrics& m, const std::string& name,
                      std::vector<double> ms) {
   if (ms.empty()) {
     return;
   }
+  const std::size_t windows =
+      std::max<std::size_t>(1, ms.size() / kMinSamples);
+  const auto per = static_cast<std::ptrdiff_t>(ms.size() / windows);
+  std::vector<double> p90s;
+  for (auto first = ms.begin(); p90s.size() < windows; first += per) {
+    std::vector<double> win(first, first + per);
+    const double p90 = percentile(win, 0.90);
+    const auto beyond = static_cast<std::size_t>(
+        win.end() - std::upper_bound(win.begin(), win.end(), p90));
+    if (beyond < 10) {
+      break;
+    }
+    p90s.push_back(p90);
+  }
   m[name + ".p50"] = {percentile(ms, 0.50), "ms", ms.size()};
-  const double p90 = percentile(ms, 0.90);
-  const auto beyond = static_cast<std::size_t>(
-      ms.end() - std::upper_bound(ms.begin(), ms.end(), p90));
-  if (beyond >= 10) {
-    m[name + ".p90"] = {p90, "ms", ms.size()};
+  if (p90s.size() == windows) {
+    m[name + ".p90"] = {median(p90s), "ms", ms.size()};
   }
 }
 
@@ -494,7 +520,8 @@ class Runner {
     if (r.errors.empty()) {
       settle(s->root);
       qnn::obs::Span timed(tracer_, "bench.timed", "bench");
-      timed_phase(*s, rounds(seconds), r);
+      timed_phase(*s, scaled(w_.rounds, seconds, ckpt_floor()),
+                  scaled(w_.reads, seconds, kMinSamples), r);
       timed.finish();
       if (tracer_ != nullptr && r.errors.empty()) {
         replay(w_, gen_, *s, s->last_id, tracer_, r.layer);
@@ -507,14 +534,20 @@ class Runner {
   }
 
  private:
-  /// Rounds for a run of `seconds`: proportional to the reference run,
-  /// and never fewer than kMinSamples read pairs.
-  [[nodiscard]] std::size_t rounds(double seconds) const {
-    const auto scaled = static_cast<std::size_t>(std::llround(
-        static_cast<double>(w_.rounds) * seconds / kReferenceSeconds));
-    const std::size_t floor =
-        (kMinSamples + w_.round_reads - 1) / w_.round_reads;
-    return std::max(scaled, floor);
+  /// `n` scaled from the reference run to a run of `seconds`, and never
+  /// below `floor`.
+  static std::size_t scaled(std::size_t n, double seconds,
+                            std::size_t floor) {
+    return std::max(floor, static_cast<std::size_t>(std::llround(
+                               static_cast<double>(n) * seconds /
+                               kReferenceSeconds)));
+  }
+
+  /// Write rounds that produce at least kMinSamples checkpoints.
+  [[nodiscard]] std::size_t ckpt_floor() const {
+    const std::size_t per_round =
+        std::max<std::size_t>(1, w_.round_steps / w_.policy.every_steps);
+    return (kMinSamples + per_round - 1) / per_round;
   }
 
   std::unique_ptr<Session> setup(const std::string& root, TrainingState state,
@@ -547,20 +580,23 @@ class Runner {
   struct Samples {
     std::vector<double> stall_ms, durable_ms, stored, recover_ms, restore_ms;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> produced;  // id, t0
-    double raw_bytes = 0, write_s = 0;
+    double raw_bytes = 0;
+    double write_s = 0;  ///< in maybe_checkpoint and flush only
     std::size_t steps = 0;
     IoCounts write_io, read_io;
     double rec_read = 0, rec_hot = 0, rec_cold = 0, res_hot = 0,
            res_cold = 0, depth = 0, candidates = 0, wal_records = 0,
            state_bytes = 0;
     std::uint64_t rec_pack_opens = 0;
+    std::size_t recovers = 0, restores = 0;  ///< calls, not samples
   };
 
   /// `n` write blocks (round_steps steps, then flush), then the read
-  /// phase (n * round_reads recover_latest / load_checkpoint pairs).
+  /// phase (`reads` samples each of recover_latest and load_checkpoint).
   /// Reads run after all writes: interleaved with the write path's
   /// fsyncs they pick up its disk noise.
-  void timed_phase(Session& s, std::size_t n, PassResult& r) {
+  void timed_phase(Session& s, std::size_t n, std::size_t reads,
+                   PassResult& r) {
     Samples x;
     BenchEnv& bench = s.storage->bench();
     try {
@@ -569,8 +605,9 @@ class Runner {
         write_block(s, 2 * round >= n, x, r);
       }
       x.write_io = bench.counts() - w0;
+      settle(s.root);
       const IoCounts r0 = bench.counts();
-      read_phase(s, n * w_.round_reads, x, r);
+      read_phase(s, reads, x, r);
       x.read_io = bench.counts() - r0;
     } catch (const std::exception& e) {
       ++r.failed;
@@ -608,19 +645,15 @@ class Runner {
 
   void write_block(Session& s, bool steady, Samples& x, PassResult& r) {
     BenchEnv& bench = s.storage->bench();
-    const std::uint64_t t_block = now_ns();
     for (std::size_t i = 0; i < w_.round_steps; ++i) {
       const std::uint64_t step = s.state.step + 1;
       gen_.advance(s.state, step);
-      if (w_.step_pause_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(w_.step_pause_ms));
-      }
       qnn::obs::Span span(tracer_, "bench.maybe_checkpoint", "bench");
       ++r.attempted;
       const std::uint64_t t0 = now_ns();
       const bool did = s.ckpt->maybe_checkpoint(s.state);
       x.stall_ms.push_back(ms_since(t0));
+      x.write_s += x.stall_ms.back() / 1e3;
       span.note("checkpoint", did ? 1 : 0);
       span.finish();
       ++x.steps;
@@ -637,12 +670,14 @@ class Runner {
       }
     }
     qnn::obs::Span span(tracer_, "bench.flush", "bench");
+    const std::uint64_t t0 = now_ns();
     s.ckpt->flush();
+    x.write_s += ms_since(t0) / 1e3;
     span.finish();
-    x.write_s += ms_since(t_block) / 1e3;
   }
 
-  void read_phase(Session& s, std::size_t pairs, Samples& x, PassResult& r) {
+  void read_phase(Session& s, std::size_t samples, Samples& x,
+                  PassResult& r) {
     BenchEnv& bench = s.storage->bench();
     io::Env& env = s.storage->env();
     const std::string dir = s.storage->dir();
@@ -667,54 +702,65 @@ class Runner {
         r.errors.push_back(what + " is not bit-exact with the oracle");
       }
     };
-    for (std::size_t i = 0; i < pairs && r.errors.empty(); ++i) {
-      const IoCounts b0 = bench.counts();
-      const double h0 = s.storage->hot_device_s();
-      const double c0 = s.storage->cold_device_s();
-      ++r.attempted;
-      qnn::obs::Span span(tracer_, "bench.recover_latest", "bench");
-      std::uint64_t t0 = now_ns();
-      const auto out = ckpt::recover_latest(env, dir, opts);
-      x.recover_ms.push_back(ms_since(t0));
-      span.finish();
-      const IoCounts b = bench.counts() - b0;
-      x.rec_read += static_cast<double>(b.read());
-      x.rec_pack_opens += b.cls[kPack].opens;
-      x.rec_hot += s.storage->hot_device_s() - h0;
-      x.rec_cold += s.storage->cold_device_s() - c0;
-      check(out.has_value() && out->state == want_latest, "recover_latest");
-      if (out) {
-        for (const auto& e : out->events) {
-          if (e.name == "chain.resolved") {
-            x.depth += std::stod(e.value("depth"));
-          } else if (e.name == "candidate.try") {
-            x.candidates += 1;
-          } else if (e.name == "wal.replay") {
-            x.wal_records += std::stod(e.value("records"));
+    const auto batch = static_cast<double>(w_.read_batch);
+    for (std::size_t i = 0; i < samples && r.errors.empty(); ++i) {
+      double sum_ms = 0;
+      for (std::size_t k = 0; k < w_.read_batch; ++k) {
+        const IoCounts b0 = bench.counts();
+        const double h0 = s.storage->hot_device_s();
+        const double c0 = s.storage->cold_device_s();
+        ++r.attempted;
+        qnn::obs::Span span(tracer_, "bench.recover_latest", "bench");
+        const std::uint64_t t0 = now_ns();
+        const auto out = ckpt::recover_latest(env, dir, opts);
+        sum_ms += ms_since(t0);
+        span.finish();
+        ++x.recovers;
+        const IoCounts b = bench.counts() - b0;
+        x.rec_read += static_cast<double>(b.read());
+        x.rec_pack_opens += b.cls[kPack].opens;
+        x.rec_hot += s.storage->hot_device_s() - h0;
+        x.rec_cold += s.storage->cold_device_s() - c0;
+        check(out.has_value() && out->state == want_latest, "recover_latest");
+        if (out) {
+          for (const auto& e : out->events) {
+            if (e.name == "chain.resolved") {
+              x.depth += std::stod(e.value("depth"));
+            } else if (e.name == "candidate.try") {
+              x.candidates += 1;
+            } else if (e.name == "wal.replay") {
+              x.wal_records += std::stod(e.value("records"));
+            }
           }
         }
       }
-      const double h1 = s.storage->hot_device_s();
-      const double c1 = s.storage->cold_device_s();
-      ++r.attempted;
-      qnn::obs::Span span2(tracer_, "bench.load_checkpoint", "bench");
-      t0 = now_ns();
-      const TrainingState got =
-          ckpt::load_checkpoint(env, dir, oldest.id, opts);
-      x.restore_ms.push_back(ms_since(t0));
-      span2.finish();
-      x.res_hot += s.storage->hot_device_s() - h1;
-      x.res_cold += s.storage->cold_device_s() - c1;
-      check(got == want_oldest,
-            "load_checkpoint(" + std::to_string(oldest.id) + ")");
+      x.recover_ms.push_back(sum_ms / batch);
+      sum_ms = 0;
+      for (std::size_t k = 0; k < w_.read_batch; ++k) {
+        const double h0 = s.storage->hot_device_s();
+        const double c0 = s.storage->cold_device_s();
+        ++r.attempted;
+        qnn::obs::Span span(tracer_, "bench.load_checkpoint", "bench");
+        const std::uint64_t t0 = now_ns();
+        const TrainingState got =
+            ckpt::load_checkpoint(env, dir, oldest.id, opts);
+        sum_ms += ms_since(t0);
+        span.finish();
+        ++x.restores;
+        x.res_hot += s.storage->hot_device_s() - h0;
+        x.res_cold += s.storage->cold_device_s() - c0;
+        check(got == want_oldest,
+              "load_checkpoint(" + std::to_string(oldest.id) + ")");
+      }
+      x.restore_ms.push_back(sum_ms / batch);
     }
   }
 
   /// Read-side layer metrics, per read operation unless stated.
   static void read_layer_metrics(const Samples& x, Metrics& m) {
     const IoCounts& io = x.read_io;
-    const std::size_t nrec = x.recover_ms.size();
-    const std::size_t nres = x.restore_ms.size();
+    const std::size_t nrec = x.recovers;
+    const std::size_t nres = x.restores;
     const std::size_t nops = nrec + nres;
     const auto per = [](double v, std::size_t n) {
       return n > 0 ? v / static_cast<double>(n) : 0.0;
@@ -972,12 +1018,16 @@ int run(int argc, char** argv) {
 }  // namespace perfbench
 
 int main(int argc, char** argv) {
-  // Fixed allocator thresholds. glibc otherwise raises its mmap threshold
-  // after the first large free, so whether the program's multi-MiB
-  // buffers come from the heap or from fresh (page-faulting) mappings
-  // would depend on the allocation history, and timings would be
-  // bimodal between otherwise identical runs.
-  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  // Every allocation comes from malloc's heaps, which are never trimmed,
+  // so a multi-MiB buffer reuses pages the process already holds. With
+  // glibc's defaults, buffers of 32 MiB and up (and smaller ones,
+  // depending on the allocation history) are fresh mappings that
+  // page-fault on first touch. On a virtual machine that hands freed
+  // pages back to its host those faults cost more than the restore
+  // itself (a 32 MiB large-drift restore took 98 ms with them and
+  // 27-33 ms without) and follow the host's memory pressure, which
+  // drifts 2x within minutes, so they would bury the program's own time.
+  mallopt(M_MMAP_MAX, 0);
   mallopt(M_TRIM_THRESHOLD, 1 << 30);
   try {
     return perfbench::run(argc, argv);

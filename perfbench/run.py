@@ -24,8 +24,9 @@ PosixEnv(durable=true)):
                   every 16 steps, keep_last=3.
   large-drift     + 32 MiB simulator snapshot, full-state, 64 KiB chunks,
                   async pipeline, a checkpoint every step, 1/8 of the
-                  chunks rewritten per step, keep_last=3. The trainer's
-                  step compute is a 100 ms pause before each call.
+                  chunks rewritten per step, keep_last=3. The trainer
+                  calls again as soon as each call returns, so the async
+                  pipeline runs saturated.
   recover-tiered  4 MiB snapshot (a quarter zero), incremental with
                   full_every=8, keep_last=24, hot ShapedEnv(local_nvme) /
                   cold ShapedEnv(object_store) TieredEnv, hot budget of 3
@@ -35,9 +36,15 @@ Each run: several set-ups (setup_s is their median), a write phase of
 rounds of trainer steps, each ending in a flush, then a read phase that
 alternates recover_latest with load_checkpoint of the oldest retained
 entry. The amount of work is fixed per workload and proportional to
---seconds (30 takes about 20-50 s on a 4-core box), with at least 110
-reads of each kind, so p90 has at least 10 samples beyond it. The program
-runs with fixed glibc malloc thresholds (see perfbench.cpp).
+--seconds (30 takes about 10-60 s on a 4-core box), with at least 110
+checkpoints and 110 read samples of each kind, so p90 has at least 10
+samples beyond it. A read sample is one call, or on small-wal the mean
+of 8 consecutive sub-millisecond calls. When a phase has enough samples,
+p90 is the median of the p90s of consecutive windows of at least 110
+samples, so a burst of load from outside the program that covers less
+than half the phase does not set it. The program takes every allocation
+from malloc heaps that are never trimmed, so large buffers do not
+page-fault afresh on each call (see perfbench.cpp).
 
 End-to-end metrics (trace 0), gated by BENCHMARK.json's bounds:
   setup_s                 Checkpointer construction, the recover-tiered
@@ -59,7 +66,7 @@ within minutes, so they cannot gate a change.
   checkpointer.durable_ms.p50/.p90  maybe_checkpoint entry -> end of the
                           first MANIFEST atomic install that lists the id.
   checkpointer.mb_per_s   raw state bytes handed to maybe_checkpoint per
-                          second of the write phase (flushes included).
+                          second spent inside maybe_checkpoint and flush.
 
 Per-layer metrics (trace 1) are named after src/ modules; layer_map.json
 says which end-to-end metric each should move, on which workload. Span
@@ -229,11 +236,11 @@ def span_metrics(trace_path):
 
 
 def check_trace(trace_path):
-    """Validates the trace with the repository's checker when present."""
+    """Validates the trace with the repository's checker."""
     checker = Path("bench") / "check_trace.py"
     if not checker.exists():
         log("bench/check_trace.py not found; trace not validated")
-        return True
+        return False
     r = subprocess.run([sys.executable, str(checker), str(trace_path)],
                        stdout=sys.stderr, timeout=120)
     return r.returncode == 0
