@@ -112,17 +112,27 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     w.read_batch = 8;
     w.setups = 101;
   } else if (name == "large-drift") {
-    w.gen.sim_bytes = std::size_t{32} << 20;
+    // 4 MiB, not 32 MiB: restoring incompressible chunks streams the
+    // state through memory, and on a shared host the speed of that
+    // follows other tenants' memory traffic. Back-to-back runs of
+    // 32 MiB restores moved 23-37 ms (10-run IQR/median up to 0.26,
+    // past the 0.25 bound); 8 MiB moved 5.3-7.0 ms and 4 MiB
+    // 2.8-3.2 ms over the same minutes.
+    w.gen.sim_bytes = std::size_t{4} << 20;
     w.gen.chunk_bytes = std::size_t{64} << 10;
     w.policy.strategy = ckpt::Strategy::kFullState;
     w.policy.chunk_bytes = w.gen.chunk_bytes;
     w.policy.every_steps = 1;
     w.policy.async = true;
-    w.rounds = 28;
+    // 448 checkpoints: how many chunks concurrent batches write twice
+    // varies per checkpoint, and at 8 new chunks per step one extra
+    // chunk is a tenth of a checkpoint's bytes.
+    w.rounds = 112;
     w.round_steps = 4;
-    // Three windows of read samples (see add_percentiles).
-    w.reads = 336;
-    w.setups = 9;
+    // ~20 s of reads, so that run medians average over the seconds-scale
+    // speed drift of the host.
+    w.reads = 2240;
+    w.setups = 31;
   } else if (name == "recover-tiered") {
     // 64 chunks per state and a depth-7 delta chain, as at 16 MiB with
     // 256 KiB chunks, at a size that fits kMinSamples recoveries in a
@@ -145,7 +155,7 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
     w.round_steps = 8;
     // Two windows of read samples (see add_percentiles).
     w.reads = 220;
-    w.setups = 9;
+    w.setups = 15;
   } else {
     throw std::invalid_argument("unknown workload '" + name + "'");
   }
@@ -1024,7 +1034,7 @@ int main(int argc, char** argv) {
   // depending on the allocation history) are fresh mappings that
   // page-fault on first touch. On a virtual machine that hands freed
   // pages back to its host those faults cost more than the restore
-  // itself (a 32 MiB large-drift restore took 98 ms with them and
+  // itself (a 32 MiB full-state restore took 98 ms with them and
   // 27-33 ms without) and follow the host's memory pressure, which
   // drifts 2x within minutes, so they would bury the program's own time.
   mallopt(M_MMAP_MAX, 0);

@@ -22,7 +22,7 @@ Workloads (closed loop, one trainer thread; flush policy
 PosixEnv(durable=true)):
   small-wal       ~50 KiB classical state, params-only, WAL on, install
                   every 16 steps, keep_last=3.
-  large-drift     + 32 MiB simulator snapshot, full-state, 64 KiB chunks,
+  large-drift     + 4 MiB simulator snapshot, full-state, 64 KiB chunks,
                   async pipeline, a checkpoint every step, 1/8 of the
                   chunks rewritten per step, keep_last=3. The trainer
                   calls again as soon as each call returns, so the async
@@ -36,7 +36,7 @@ Each run: several set-ups (setup_s is their median), a write phase of
 rounds of trainer steps, each ending in a flush, then a read phase that
 alternates recover_latest with load_checkpoint of the oldest retained
 entry. The amount of work is fixed per workload and proportional to
---seconds (30 takes about 10-60 s on a 4-core box), with at least 110
+--seconds (30 takes about 10-35 s on a 4-core box), with at least 110
 checkpoints and 110 read samples of each kind, so p90 has at least 10
 samples beyond it. A read sample is one call, or on small-wal the mean
 of 8 consecutive sub-millisecond calls. When a phase has enough samples,
