@@ -7,10 +7,11 @@
 //
 //   * bytes/s for the byte-crunching kernels the checkpoint pipeline
 //     charges on every chunk — CRC32C, CRC64, the intra-buffer XOR
-//     delta pair, XOR-against-parent, and the RLE encoder scan — each
-//     measured through the dispatched (SIMD) entry point AND the
-//     scalar oracle kept for parity testing. The "speedup_x" field is
-//     the ratio; on SSE4.2+PCLMUL hardware CRC32C should clear 1.
+//     delta pair, XOR-against-parent, the RLE encoder scan and the LZ
+//     decoder — each measured through the dispatched (SIMD) or wide-
+//     copy entry point AND the scalar oracle kept for parity testing.
+//     The "speedup_x" field is the ratio; on SSE4.2+PCLMUL hardware
+//     CRC32C should clear 1. LZ decode MB/s counts decoded bytes.
 //   * chunks/s for concurrent dedup probes against one ChunkStore at
 //     1/4/8 threads — the sharded index replaced the global mutex +
 //     std::map, so probe throughput should scale with threads instead
@@ -20,6 +21,7 @@
 // RLE rows run two content regimes: "entropy" (incompressible, the
 // scan's worst case and the vectorization target) and "runny" (mostly
 // repeats, where run extension dominates the scan).
+#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -96,6 +98,36 @@ void emit_kernel_row(const char* metric, const char* content, double simd,
 
 volatile std::uint64_t g_sink = 0;  // defeats dead-code elimination
 
+/// MB/s of decoded output: decodes `encoded` back to `raw_len` bytes
+/// until kPasses * kBufBytes raw bytes have been produced.
+template <typename Decode>
+double decode_mb_s(util::ByteSpan encoded, std::size_t raw_len,
+                   Decode&& decode) {
+  const int reps = static_cast<int>(kPasses * kBufBytes / raw_len);
+  g_sink = g_sink + decode(encoded, raw_len)[0];  // warmup
+  util::Timer t;
+  for (int i = 0; i < reps; ++i) {
+    g_sink = g_sink + decode(encoded, raw_len)[0];
+  }
+  const double s = t.seconds();
+  return s > 0.0 ? static_cast<double>(raw_len) * reps / s / 1e6 : 0.0;
+}
+
+/// lz_decode (wide copies) against lz_decode_scalar (byte loop) on one
+/// 64 KiB chunk, the store's chunk size, per content regime.
+void emit_lz_decode_row(const char* content, const util::Bytes& raw) {
+  const util::Bytes enc = codec::lz_encode(raw);
+  emit_kernel_row("lz_decode", content,
+                  decode_mb_s(enc, raw.size(),
+                              [](util::ByteSpan e, std::size_t n) {
+                                return codec::lz_decode(e, n);
+                              }),
+                  decode_mb_s(enc, raw.size(),
+                              [](util::ByteSpan e, std::size_t n) {
+                                return codec::lz_decode_scalar(e, n);
+                              }));
+}
+
 void bench_kernels() {
   const util::Bytes entropy = random_bytes(kBufBytes, 42);
   const util::Bytes runny = runny_bytes(kBufBytes, 43);
@@ -165,6 +197,16 @@ void bench_kernels() {
                   throughput_mb_s(runny, [](util::ByteSpan b) {
                     g_sink = g_sink + codec::rle_encode_scalar(b).size();
                   }));
+
+  // LZ decode regimes of a recovery: the all-zero XOR chunk of an
+  // unchanged block, a chunk whose last quarter is zero (sparse
+  // amplitudes), and an incompressible chunk (one literal run).
+  constexpr std::size_t kChunk = 64 << 10;
+  util::Bytes zero_tail = random_bytes(kChunk, 45);
+  std::fill(zero_tail.begin() + kChunk * 3 / 4, zero_tail.end(), 0);
+  emit_lz_decode_row("zeros", util::Bytes(kChunk, 0));
+  emit_lz_decode_row("zero_tail", zero_tail);
+  emit_lz_decode_row("entropy", random_bytes(kChunk, 46));
 }
 
 // --- concurrent dedup probes ------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 
 #include "util/crc.hpp"
 #include "util/thread_pool.hpp"
@@ -276,20 +277,35 @@ std::vector<ChunkKey> parse_extern_table(ByteSpan table,
   return keys;
 }
 
-/// Reassembles an extern section by fetching every chunk from `source`.
-/// get() verifies digest + length; the length is re-checked here anyway.
+/// Reassembles an extern section, fetching each distinct chunk key from
+/// `source` once. get() verifies digest + length; the length is
+/// re-checked here anyway. A repeated key (the all-zero XOR chunk of
+/// every unchanged block of a delta, say) is copied from where its first
+/// fetch was placed in `out`: those bytes passed every check, and the
+/// store holds one record per key, so a second get() would return them
+/// again.
 Bytes resolve_extern_payload(ChunkSource& source, ByteSpan table,
                              std::uint64_t total_raw_len) {
   const auto keys = parse_extern_table(table, total_raw_len);
   Bytes out(total_raw_len);
+  std::map<ChunkKey, std::size_t> placed;  // key -> offset of first copy
   std::size_t out_off = 0;
-  for (std::size_t c = 0; c < keys.size(); ++c) {
-    const Bytes raw = source.get(keys[c]);
+  for (const ChunkKey& key : keys) {
+    const auto [first, fresh] = placed.try_emplace(key, out_off);
+    if (!fresh) {
+      if (key.len != 0) {
+        std::memcpy(out.data() + out_off, out.data() + first->second,
+                    key.len);
+      }
+      out_off += key.len;
+      continue;
+    }
+    const Bytes raw = source.get(key);
     // Re-verify against the key here, independent of the source's own
     // checks: a checkpoint must never reassemble from bytes that do not
     // hash to what its table promised.
-    if (raw.size() != keys[c].len || util::crc32c(raw) != keys[c].crc) {
-      throw std::runtime_error("chunk " + chunk_key_name(keys[c]) +
+    if (raw.size() != key.len || util::crc32c(raw) != key.crc) {
+      throw std::runtime_error("chunk " + chunk_key_name(key) +
                                ": content digest mismatch");
     }
     if (!raw.empty()) {

@@ -88,19 +88,21 @@ std::vector<Section> resolve_chain(io::Env& env, const std::string& dir,
     *depth_out = chain.size();
   }
 
-  // Root first; fold deltas forward.
+  // Root first; fold deltas forward. Each section's decoded buffer is
+  // folded in place and moved into `resolved`: no per-link copy.
   std::map<SectionKind, Bytes> resolved;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    for (const Section& s : it->sections) {
+    for (Section& s : it->sections) {
       if (s.is_delta()) {
         const auto base = resolved.find(s.kind);
         if (base == resolved.end()) {
           throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
                                   " has no base in ancestor chain");
         }
-        resolved[s.kind] = codec::xor_with_parent(s.payload, base->second);
+        codec::xor_with_parent_inplace(s.payload, base->second);
+        base->second = std::move(s.payload);
       } else {
-        resolved[s.kind] = s.payload;
+        resolved[s.kind] = std::move(s.payload);
       }
     }
   }

@@ -63,6 +63,16 @@ Bytes rle_decode(ByteSpan encoded, std::size_t raw_len);
 Bytes rle_encode_scalar(ByteSpan raw);
 
 Bytes lz_encode(ByteSpan raw);
+/// Decodes into a buffer reserved to raw_len: a literal run or a
+/// non-overlapping match is one memcpy, a distance-1 match one fill, and
+/// other overlapping matches expand by doubling copies of the period
+/// already written.
 Bytes lz_decode(ByteSpan encoded, std::size_t raw_len);
+
+/// Byte-at-a-time reference decoder: same output bytes and the same
+/// accept/reject decision (same exception) as lz_decode for every
+/// stream. Parity oracle for tests and the scalar rows of the
+/// throughput bench.
+Bytes lz_decode_scalar(ByteSpan encoded, std::size_t raw_len);
 
 }  // namespace qnn::codec

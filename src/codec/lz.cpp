@@ -5,13 +5,15 @@
 //   literal_count raw bytes
 //   varint match_code:
 //     0            -> end of stream (no match follows)
-//     m >= 1       -> match of length m + kMinMatch - 1
+//     m >= 1       -> match of length m + kMinMatch - 1 (at most kMaxMatch,
+//                     so m <= kMaxMatch - kMinMatch + 1)
 //   varint distance (only when match_code != 0), 1-based back-reference
 //
 // Matches are found via a 4-byte-hash head table with single-step chains
 // (head[hash] stores the most recent position), window-limited to kWindow.
 // Worst case (incompressible input): the whole input is one literal run,
 // expansion bound of n + O(varint overhead).
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -26,6 +28,9 @@ constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxMatch = 1 << 16;
 constexpr std::size_t kWindow = 1 << 16;
 constexpr std::size_t kHashBits = 16;
+// Largest match_code the encoder emits (match_length caps at kMaxMatch).
+// Checked before len is computed: a code near 2^64 would wrap len to 0-2.
+constexpr std::uint64_t kMaxMatchCode = kMaxMatch - kMinMatch + 1;
 
 inline std::uint32_t hash4(const std::uint8_t* p) {
   std::uint32_t v;
@@ -97,7 +102,11 @@ Bytes lz_encode(ByteSpan raw) {
   return out;
 }
 
-Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
+// Both decoders validate the same token sequence in the same order, so
+// they accept and reject exactly the same streams (and throw the same
+// exception for each rejected one); they differ only in how bytes move.
+
+Bytes lz_decode_scalar(ByteSpan encoded, std::size_t raw_len) {
   Bytes out;
   out.reserve(raw_len);
   if (encoded.empty()) {
@@ -110,8 +119,11 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
   std::size_t pos = 0;
   while (true) {
     const std::uint64_t lits = util::get_varint(encoded, pos);
-    if (pos + lits > encoded.size()) {
+    if (lits > encoded.size() - pos) {
       throw std::runtime_error("lz_decode: truncated literals");
+    }
+    if (lits > raw_len - out.size()) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
     }
     out.insert(out.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
                encoded.begin() + static_cast<std::ptrdiff_t>(pos + lits));
@@ -121,10 +133,16 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     if (match_code == 0) {
       break;
     }
+    if (match_code > kMaxMatchCode) {
+      throw std::runtime_error("lz_decode: bad match length");
+    }
     const std::uint64_t len = match_code + kMinMatch - 1;
     const std::uint64_t dist = util::get_varint(encoded, pos);
     if (dist == 0 || dist > out.size()) {
       throw std::runtime_error("lz_decode: bad match distance");
+    }
+    if (len > raw_len - out.size()) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
     }
     // Byte-by-byte copy: overlapping matches (dist < len) are legal and
     // reproduce the run-extension semantics of the encoder.
@@ -132,8 +150,78 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     for (std::uint64_t k = 0; k < len; ++k) {
       out.push_back(out[src + k]);
     }
-    if (out.size() > raw_len) {
+  }
+  if (out.size() != raw_len) {
+    throw std::runtime_error("lz_decode: output length mismatch");
+  }
+  return out;
+}
+
+Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
+  // Reserved up front and grown by appends, so no byte is written twice
+  // except those of a match at distance > 1 (resize zero-fills them
+  // before the copy lands).
+  Bytes out;
+  out.reserve(raw_len);
+  if (encoded.empty()) {
+    if (raw_len != 0) {
+      throw std::runtime_error("lz_decode: empty stream for non-empty output");
+    }
+    return out;
+  }
+
+  std::size_t pos = 0;
+  while (true) {
+    const std::uint64_t lits = util::get_varint(encoded, pos);
+    if (lits > encoded.size() - pos) {
+      throw std::runtime_error("lz_decode: truncated literals");
+    }
+    if (lits > raw_len - out.size()) {
       throw std::runtime_error("lz_decode: output exceeds declared length");
+    }
+    out.insert(out.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
+               encoded.begin() + static_cast<std::ptrdiff_t>(pos + lits));
+    pos += lits;
+
+    const std::uint64_t match_code = util::get_varint(encoded, pos);
+    if (match_code == 0) {
+      break;
+    }
+    if (match_code > kMaxMatchCode) {
+      throw std::runtime_error("lz_decode: bad match length");
+    }
+    const std::size_t len = match_code + kMinMatch - 1;
+    const std::uint64_t dist = util::get_varint(encoded, pos);
+    if (dist == 0 || dist > out.size()) {
+      throw std::runtime_error("lz_decode: bad match distance");
+    }
+    if (len > raw_len - out.size()) {
+      throw std::runtime_error("lz_decode: output exceeds declared length");
+    }
+    const std::size_t at = out.size();
+    if (dist == 1) {
+      // A run of one byte (zero runs of sparse and XOR-delta chunks):
+      // the resize fill is the whole copy.
+      const std::uint8_t run = out[at - 1];
+      out.resize(at + len, run);
+      continue;
+    }
+    out.resize(at + len);
+    std::uint8_t* const op = out.data() + at;
+    const std::uint8_t* const src = op - dist;
+    if (dist >= len) {
+      std::memcpy(op, src, len);
+    } else {
+      // Overlapping match: the output is the dist-byte period before op
+      // repeated. Each copy doubles the written span, and its source
+      // [src, src + n) ends at or before its destination op + done, so
+      // every memcpy is non-overlapping.
+      std::size_t done = 0;
+      while (done < len) {
+        const std::size_t n = std::min<std::size_t>(done + dist, len - done);
+        std::memcpy(op + done, src, n);
+        done += n;
+      }
     }
   }
   if (out.size() != raw_len) {

@@ -1,5 +1,6 @@
 #include "codec/xor_delta.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #if defined(__SSE2__)
@@ -49,30 +50,33 @@ Bytes xor_undelta64_scalar(ByteSpan data) {
 
 // --- vectorized defaults ---------------------------------------------------
 
-Bytes xor_with_parent(ByteSpan data, ByteSpan parent) {
-  Bytes out(data.begin(), data.end());
-  const std::size_t n = std::min(out.size(), parent.size());
+void xor_with_parent_inplace(Bytes& data, ByteSpan parent) {
+  std::uint8_t* const p = data.data();
+  const std::size_t n = std::min(data.size(), parent.size());
   std::size_t i = 0;
 #if defined(__SSE2__)
   for (; i + 16 <= n; i += 16) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(out.data() + i));
+    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
     const __m128i b =
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(parent.data() + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data() + i),
-                     _mm_xor_si128(a, b));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p + i), _mm_xor_si128(a, b));
   }
 #endif
   for (; i + 8 <= n; i += 8) {
     std::uint64_t a, b;
-    std::memcpy(&a, out.data() + i, 8);
+    std::memcpy(&a, p + i, 8);
     std::memcpy(&b, parent.data() + i, 8);
     a ^= b;
-    std::memcpy(out.data() + i, &a, 8);
+    std::memcpy(p + i, &a, 8);
   }
   for (; i < n; ++i) {
-    out[i] ^= parent[i];
+    p[i] ^= parent[i];
   }
+}
+
+Bytes xor_with_parent(ByteSpan data, ByteSpan parent) {
+  Bytes out(data.begin(), data.end());
+  xor_with_parent_inplace(out, parent);
   return out;
 }
 

@@ -29,6 +29,10 @@ using util::ByteSpan;
 /// (payload grew between checkpoints). Result size == data size.
 Bytes xor_with_parent(ByteSpan data, ByteSpan parent);
 
+/// xor_with_parent without the copy: XORs `parent` into `data` in place
+/// (same pass-through of bytes past the parent's length).
+void xor_with_parent_inplace(Bytes& data, ByteSpan parent);
+
 /// Forward intra-buffer delta: word[i] ^= word[i-1] (64-bit words; the tail
 /// that does not fill a word is left untouched).
 Bytes xor_delta64(ByteSpan data);

@@ -2,6 +2,11 @@
 // chains), async writer, and recovery fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "ckpt/cas.hpp"
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
@@ -758,6 +763,112 @@ TEST(Recovery, WorksWithoutManifest) {
 TEST(Recovery, LoadCheckpointThrowsOnMissingId) {
   io::MemEnv env;
   EXPECT_THROW(load_checkpoint(env, "cp", 1), std::exception);
+}
+
+// ---------- repeated chunk keys in incremental chains ----------
+
+/// ChunkSource decorator counting get() calls per key.
+class CountingSource final : public ChunkSource {
+ public:
+  explicit CountingSource(ChunkSource& inner) : inner_(inner) {}
+  Bytes get(const ChunkKey& key) override {
+    ++fetches[key];
+    return inner_.get(key);
+  }
+  std::map<ChunkKey, int> fetches;
+
+ private:
+  ChunkSource& inner_;
+};
+
+/// 2048 params of which only the last 8 move per step, so the XOR delta
+/// of the params section (the only one over 1 KiB) is mostly zeros.
+qnn::TrainingState frozen_params_state(std::uint64_t step) {
+  qnn::TrainingState s = make_state(step);
+  s.params.resize(2048);
+  util::Rng frozen(7);
+  for (double& p : s.params) {
+    p = frozen.uniform(-1.0, 1.0);
+  }
+  util::Rng moving(1000 + step);
+  for (std::size_t i = s.params.size() - 8; i < s.params.size(); ++i) {
+    s.params[i] = moving.uniform(-1.0, 1.0);
+  }
+  return s;
+}
+
+/// Writes the chain 1 (full) <- 2 <- 3 (deltas) with 1 KiB chunks and
+/// the kRaw codec. Each delta's params key table repeats the all-zero
+/// 1 KiB chunk's key; the first delta stores it, in pack 2.
+void write_repeated_key_chain(io::Env& env) {
+  CheckpointPolicy policy;
+  policy.strategy = Strategy::kIncremental;
+  policy.every_steps = 1;
+  policy.retention.keep_last = 0;
+  policy.full_every = 8;
+  policy.codec = codec::CodecId::kRaw;
+  policy.chunk_bytes = 1024;
+  Checkpointer ck(env, "cp", policy);
+  for (std::uint64_t step = 1; step <= 3; ++step) {
+    ck.checkpoint_now(frozen_params_state(step));
+  }
+}
+
+TEST(Recovery, RepeatedChunkKeyFetchedOncePerSection) {
+  io::MemEnv env;
+  write_repeated_key_chain(env);
+  const ChunkKey zero_key = chunk_key(Bytes(1024, 0));
+  ChunkStore store(env, "cp");
+  for (std::uint64_t id = 2; id <= 3; ++id) {
+    const Bytes data = *env.read_file("cp/" + checkpoint_file_name(id));
+    const auto refs = list_chunk_refs(data);
+    const std::set<ChunkKey> distinct(refs.begin(), refs.end());
+    ASSERT_GT(std::count(refs.begin(), refs.end(), zero_key), 10)
+        << "checkpoint " << id << " should repeat the zero chunk";
+
+    CountingSource counting(store);
+    const CheckpointFile file =
+        decode_checkpoint(data, DecodeOptions{.source = &counting});
+    EXPECT_TRUE(file.is_incremental());
+    EXPECT_EQ(counting.fetches.size(), distinct.size()) << "checkpoint " << id;
+    for (const auto& [key, n] : counting.fetches) {
+      EXPECT_EQ(n, 1) << chunk_key_name(key) << " in checkpoint " << id;
+    }
+  }
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->step, 3u);
+  EXPECT_EQ(outcome->state, frozen_params_state(3));
+  EXPECT_EQ(load_checkpoint(env, "cp", 2), frozen_params_state(2));
+}
+
+TEST(Recovery, CorruptRepeatedChunkStillRejectsCandidate) {
+  // Fetching a repeated key once must not let its damage through: the
+  // one fetch fails its record CRC, so checkpoints 3 and 2 (whose
+  // chains need the chunk) are rejected and recovery falls back to 1.
+  io::MemEnv env;
+  write_repeated_key_chain(env);
+  const std::string pack = "cp/chunks/" + pack_file_name(2);
+  const auto pack_keys = list_pack_keys(env, pack);
+  ASSERT_EQ(std::count(pack_keys.begin(), pack_keys.end(),
+                       chunk_key(Bytes(1024, 0))),
+            1);
+  // Under the kRaw codec the zero chunk's record body is 1 KiB of zero
+  // bytes, the only such run in the pack.
+  const Bytes bytes = *env.read_file(pack);
+  const Bytes zeros(1024, 0);
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), zeros.begin(), zeros.end());
+  ASSERT_NE(at, bytes.end());
+  const auto offset = static_cast<std::uint64_t>(at - bytes.begin());
+  ASSERT_TRUE(env.flip_bit(pack, (offset + 512) * 8));
+
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->step, 1u);
+  EXPECT_EQ(outcome->state, frozen_params_state(1));
+  EXPECT_GE(outcome->notes.size(), 2u);
+  EXPECT_THROW(load_checkpoint(env, "cp", 3), std::exception);
 }
 
 // ---------- async writer ----------

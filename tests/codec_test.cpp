@@ -245,6 +245,201 @@ TEST(Lz, WindowBoundaryRoundTrip) {
   EXPECT_EQ(lz_decode(enc, data.size()), data);
 }
 
+// ---------- LZ decoder vs its byte-at-a-time oracle ----------
+//
+// lz_decode copies literal runs and matches with memcpy (doubling the
+// period of an overlapping match); lz_decode_scalar is the byte loop.
+// For every stream both must return the same bytes, or both throw the
+// same exception.
+
+/// The decoded bytes, or "<exception type>: <what>" of the throw.
+struct LzOutcome {
+  bool ok = false;
+  Bytes bytes;
+  std::string error;
+  bool operator==(const LzOutcome&) const = default;
+};
+
+template <typename Decode>
+LzOutcome run_lz(Decode&& decode, ByteSpan enc, std::size_t raw_len) {
+  LzOutcome o;
+  try {
+    o.bytes = decode(enc, raw_len);
+    o.ok = true;
+  } catch (const std::out_of_range& e) {
+    o.error = std::string("out_of_range: ") + e.what();
+  } catch (const std::runtime_error& e) {
+    o.error = std::string("runtime_error: ") + e.what();
+  }
+  return o;
+}
+
+void expect_lz_parity(ByteSpan enc, std::size_t raw_len,
+                      const std::string& where) {
+  const LzOutcome wide = run_lz(lz_decode, enc, raw_len);
+  const LzOutcome scalar = run_lz(lz_decode_scalar, enc, raw_len);
+  EXPECT_TRUE(wide == scalar) << where << ": '" << wide.error << "' vs '"
+                              << scalar.error << "'";
+}
+
+/// One literal run of `lits`, then one match token (`match_code`,
+/// `dist`), then the end marker.
+Bytes lz_stream(const Bytes& lits, std::uint64_t match_code,
+                std::uint64_t dist) {
+  Bytes enc;
+  util::put_varint(enc, lits.size());
+  enc.insert(enc.end(), lits.begin(), lits.end());
+  util::put_varint(enc, match_code);
+  util::put_varint(enc, dist);
+  util::put_varint(enc, 0);
+  util::put_varint(enc, 0);
+  return enc;
+}
+
+TEST(LzParity, EveryShortDistanceAcrossDoublingSteps) {
+  // dist 1..70 against lengths on both sides of each doubling step of
+  // the overlapping copy (done = dist, 3*dist, 7*dist, ...), with the
+  // match ending exactly at raw_len.
+  for (std::size_t dist = 1; dist <= 70; ++dist) {
+    const Bytes lits = incompressible(dist, 700 + dist);
+    std::vector<std::size_t> lens = {4, 5, 1000, 65536};
+    for (std::size_t k = 1; k * dist <= 65536; k = 2 * k + 1) {
+      for (std::size_t step : {k * dist - 1, k * dist, k * dist + 1}) {
+        if (step >= 4 && step <= 65536) {
+          lens.push_back(step);
+        }
+      }
+    }
+    for (const std::size_t len : lens) {
+      const Bytes enc = lz_stream(lits, len - 3, dist);
+      const std::size_t raw_len = dist + len;
+      Bytes want = lits;
+      for (std::size_t i = 0; i < len; ++i) {
+        want.push_back(want[want.size() - dist]);
+      }
+      const std::string where =
+          "dist=" + std::to_string(dist) + " len=" + std::to_string(len);
+      ASSERT_EQ(lz_decode(enc, raw_len), want) << where;
+      expect_lz_parity(enc, raw_len, where);
+      // One byte short of the match: both reject before copying.
+      EXPECT_THROW(lz_decode(enc, raw_len - 1), std::runtime_error) << where;
+      expect_lz_parity(enc, raw_len - 1, where + " short");
+    }
+  }
+}
+
+TEST(LzParity, MatchCodeNear2To64IsRejectedNotWrapped) {
+  // match_code + kMinMatch - 1 wraps to 0, 1 or 2 for the top three
+  // codes; a decoder that computed len first accepted these as tiny
+  // matches no encoder emits.
+  for (const std::uint64_t code :
+       {~std::uint64_t{0} - 2, ~std::uint64_t{0} - 1, ~std::uint64_t{0}}) {
+    const Bytes enc = lz_stream({'x'}, code, 1);
+    for (const std::size_t raw_len : {1, 2, 3}) {
+      EXPECT_THROW(lz_decode(enc, raw_len), std::runtime_error);
+      EXPECT_THROW(lz_decode_scalar(enc, raw_len), std::runtime_error);
+      expect_lz_parity(enc, raw_len, "code=" + std::to_string(code));
+    }
+  }
+  // The largest code the encoder can emit (a 64 KiB match) still
+  // decodes; one past it is rejected.
+  const std::size_t max_len = 1 << 16;
+  const Bytes max_enc = lz_stream({'y'}, max_len - 3, 1);
+  EXPECT_EQ(lz_decode(max_enc, 1 + max_len), Bytes(1 + max_len, 'y'));
+  const Bytes over_enc = lz_stream({'y'}, max_len - 2, 1);
+  EXPECT_THROW(lz_decode(over_enc, 2 + max_len), std::runtime_error);
+  expect_lz_parity(over_enc, 2 + max_len, "code one past the maximum");
+}
+
+TEST(LzParity, LiteralRunPastDeclaredLengthIsRejected) {
+  const Bytes lits = incompressible(64, 77);
+  Bytes enc;
+  util::put_varint(enc, lits.size());
+  enc.insert(enc.end(), lits.begin(), lits.end());
+  util::put_varint(enc, 0);
+  EXPECT_EQ(lz_decode(enc, 64), lits);
+  for (const std::size_t raw_len : {0, 1, 63}) {
+    EXPECT_THROW(lz_decode(enc, raw_len), std::runtime_error);
+    expect_lz_parity(enc, raw_len, "raw_len=" + std::to_string(raw_len));
+  }
+}
+
+TEST(LzParity, EncoderOutputsDecodeIdentically) {
+  for (const PayloadCase& pc : payload_cases()) {
+    const Bytes enc = lz_encode(pc.data);
+    EXPECT_EQ(lz_decode_scalar(enc, pc.data.size()), pc.data) << pc.name;
+    expect_lz_parity(enc, pc.data.size(), pc.name);
+  }
+}
+
+TEST(LzParity, RandomTokenStreamFuzz) {
+  // Seeded random token streams: mostly well-formed tokens, with bad
+  // distances, oversize or huge match codes, literal runs past the
+  // declared or the encoded length, truncation and wrong declared
+  // lengths mixed in. Both decoders must agree on every one.
+  util::Rng rng(20240611);
+  int accepted = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    Bytes enc;
+    std::size_t produced = 0;
+    const int tokens = 1 + static_cast<int>(rng.uniform_u64(12));
+    for (int t = 0; t < tokens; ++t) {
+      const std::size_t lits = rng.uniform_u64(40);
+      util::put_varint(enc, lits);
+      for (std::size_t i = 0; i < lits; ++i) {
+        enc.push_back(static_cast<std::uint8_t>(rng() % 4));
+      }
+      produced += lits;
+      const std::uint64_t kind = rng.uniform_u64(20);
+      std::uint64_t code = 1 + rng.uniform_u64(300);
+      if (kind == 0) {
+        code = ~std::uint64_t{0} - rng.uniform_u64(4);
+      } else if (kind == 1) {
+        code = 65533 + rng.uniform_u64(3);
+      }
+      std::uint64_t dist = produced == 0 ? 1 : 1 + rng.uniform_u64(produced);
+      if (kind == 2) {
+        dist = 0;
+      } else if (kind == 3) {
+        dist = produced + 1 + rng.uniform_u64(8);
+      }
+      util::put_varint(enc, code);
+      util::put_varint(enc, dist);
+      if (code <= 65533) {
+        produced += code + 3;
+      }
+    }
+    const std::size_t tail = rng.uniform_u64(3);  // trailing literals
+    util::put_varint(enc, tail);
+    enc.insert(enc.end(), tail, 0x5A);
+    produced += tail;
+    util::put_varint(enc, 0);
+    std::size_t raw_len = produced;
+    switch (rng.uniform_u64(6)) {
+      case 0:
+        raw_len = produced + 1 + rng.uniform_u64(16);
+        break;
+      case 1:
+        raw_len = produced - std::min<std::size_t>(produced,
+                                                   1 + rng.uniform_u64(16));
+        break;
+      case 2:
+        enc.resize(rng.uniform_u64(enc.size()));
+        break;
+      default:
+        break;
+    }
+    const LzOutcome wide = run_lz(lz_decode, enc, raw_len);
+    const LzOutcome scalar = run_lz(lz_decode_scalar, enc, raw_len);
+    ASSERT_TRUE(wide == scalar) << "trial " << trial << ": '" << wide.error
+                                << "' vs '" << scalar.error << "'";
+    accepted += wide.ok ? 1 : 0;
+  }
+  // The mix exercises both outcomes, not only rejections.
+  EXPECT_GT(accepted, 40);
+  EXPECT_LT(accepted, 360);
+}
+
 // ---------- XOR delta ----------
 
 TEST(XorDelta, WithParentIsInvolution) {
