@@ -512,7 +512,7 @@ void ChunkStore::invalidate_pack_handle_locked(const std::string& name) {
   }
 }
 
-Bytes ChunkStore::get(const ChunkKey& key) {
+ChunkStore::FetchedRecord ChunkStore::fetch_record(const ChunkKey& key) {
   std::lock_guard lock(mu_);
   ensure_open_locked();
   auto loc = index_.location(key);
@@ -541,21 +541,39 @@ Bytes ChunkStore::get(const ChunkKey& key) {
   // Ranged resolution: exactly this record's encoded bytes move, not
   // the packfile. Integrity comes from the record CRC32C + the content
   // key, so skipping the whole-file CRC64 gives up nothing.
-  const Bytes enc = pack->pread(record.offset, record.enc_len);
-  if (enc.size() != record.enc_len) {
+  FetchedRecord fetched{.encoded = pack->pread(record.offset, record.enc_len),
+                        .codec = record.codec,
+                        .pack_name = pack_name};
+  if (fetched.encoded.size() != record.enc_len) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
                              ": packfile truncated: " + pack_name);
   }
-  if (util::crc32c(enc) != record.enc_crc) {
+  if (util::crc32c(fetched.encoded) != record.enc_crc) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
                              ": encoded CRC mismatch in " + pack_name);
   }
-  Bytes raw = codec::decode(record.codec, enc, key.len);
+  return fetched;
+}
+
+Bytes ChunkStore::get(const ChunkKey& key) {
+  const FetchedRecord fetched = fetch_record(key);
+  Bytes raw = codec::decode(fetched.codec, fetched.encoded, key.len);
   if (raw.size() != key.len || util::crc32c(raw) != key.crc) {
     throw std::runtime_error("chunk " + chunk_key_name(key) +
-                             ": content digest mismatch in " + pack_name);
+                             ": content digest mismatch in " +
+                             fetched.pack_name);
   }
   return raw;
+}
+
+void ChunkStore::get_into(const ChunkKey& key, util::MutableByteSpan out) {
+  if (out.size() != key.len) {
+    throw std::invalid_argument("ChunkStore::get_into: buffer of " +
+                                std::to_string(out.size()) +
+                                " bytes for chunk " + chunk_key_name(key));
+  }
+  const FetchedRecord fetched = fetch_record(key);
+  codec::decode_into(fetched.codec, fetched.encoded, out);
 }
 
 void ChunkStore::retain(const std::vector<ChunkKey>& keys) {

@@ -207,6 +207,10 @@ class ChunkStore : public ChunkSource {
   /// Resolution is RANGED: one pread of the record's encoded bytes, not
   /// a packfile read. Throws std::runtime_error when absent or corrupt.
   Bytes get(const ChunkKey& key) override;
+  /// ChunkSource: get() decoded straight into `out` (which must be
+  /// key.len bytes), with the record CRC32C checked and the content
+  /// digest left to the caller, as the ChunkSource contract allows.
+  void get_into(const ChunkKey& key, util::MutableByteSpan out) override;
 
   /// Reference counting. retain() when a checkpoint file referencing
   /// `keys` became durable (install), release() when one was deleted
@@ -268,6 +272,15 @@ class ChunkStore : public ChunkSource {
     std::vector<Record> records;
     std::uint64_t file_bytes = 0;
   };
+
+  /// One record's encoded bytes, read ranged and checked against the
+  /// record CRC32C: the shared half of get() and get_into().
+  struct FetchedRecord {
+    Bytes encoded;
+    codec::CodecId codec = codec::CodecId::kRaw;
+    std::string pack_name;
+  };
+  FetchedRecord fetch_record(const ChunkKey& key);
 
   /// Stage 1 of the lazy open: the packfile index. Enough for reads and
   /// dedup probes — recovery never pays for refcount state. On a tiered

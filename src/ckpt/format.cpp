@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 
+#include "codec/xor_delta.hpp"
 #include "util/crc.hpp"
 #include "util/thread_pool.hpp"
 
@@ -277,43 +278,72 @@ std::vector<ChunkKey> parse_extern_table(ByteSpan table,
   return keys;
 }
 
-/// Reassembles an extern section, fetching each distinct chunk key from
-/// `source` once. get() verifies digest + length; the length is
-/// re-checked here anyway. A repeated key (the all-zero XOR chunk of
-/// every unchanged block of a delta, say) is copied from where its first
-/// fetch was placed in `out`: those bytes passed every check, and the
-/// store holds one record per key, so a second get() would return them
-/// again.
-Bytes resolve_extern_payload(ChunkSource& source, ByteSpan table,
-                             std::uint64_t total_raw_len) {
-  const auto keys = parse_extern_table(table, total_raw_len);
-  Bytes out(total_raw_len);
-  std::map<ChunkKey, std::size_t> placed;  // key -> offset of first copy
-  std::size_t out_off = 0;
+bool all_zero(ByteSpan bytes) {
+  return bytes.empty() ||
+         (bytes[0] == 0 &&
+          std::memcmp(bytes.data(), bytes.data() + 1, bytes.size() - 1) == 0);
+}
+
+/// Applies one extern section's chunks to `target`, fetching each
+/// distinct key from `source` once, straight into its place, and
+/// CRC32C-checking the placed bytes against the key here, independent
+/// of the source's own checks: a section must never be built from bytes
+/// that do not hash to what its table promised.
+///
+/// Full section (delta false): `target` becomes the section. A repeated
+/// key (say the zero chunk of a sparse state) is copied from its first
+/// placement: those bytes passed every check, and the store holds one
+/// record per key, so a second fetch would return them again.
+///
+/// Delta section: `target` is the base. It is resized to the delta's
+/// length (zero-extended or cut, xor_with_parent_inplace's length rule)
+/// and each chunk is XORed in at every offset its key occupies, through
+/// one chunk-sized scratch buffer. A chunk whose VERIFIED bytes are all
+/// zero is the identity and skipped; the key alone never decides that.
+void fold_extern_section(ChunkSource& source, std::span<const ChunkKey> keys,
+                         bool delta, Bytes& target, FoldCounters& counters) {
+  // Offsets of every occurrence, grouped by key in table order.
+  std::vector<std::pair<ChunkKey, std::vector<std::uint64_t>>> groups;
+  std::map<ChunkKey, std::size_t> group_of;
+  std::uint64_t raw_len = 0;
   for (const ChunkKey& key : keys) {
-    const auto [first, fresh] = placed.try_emplace(key, out_off);
-    if (!fresh) {
-      if (key.len != 0) {
-        std::memcpy(out.data() + out_off, out.data() + first->second,
-                    key.len);
-      }
-      out_off += key.len;
-      continue;
+    const auto [it, fresh] = group_of.try_emplace(key, groups.size());
+    if (fresh) {
+      groups.push_back({key, {}});
     }
-    const Bytes raw = source.get(key);
-    // Re-verify against the key here, independent of the source's own
-    // checks: a checkpoint must never reassemble from bytes that do not
-    // hash to what its table promised.
-    if (raw.size() != key.len || util::crc32c(raw) != key.crc) {
+    groups[it->second].second.push_back(raw_len);
+    raw_len += key.len;
+  }
+  target.resize(raw_len);
+  const util::MutableByteSpan out(target);
+  Bytes scratch;
+  for (const auto& [key, offsets] : groups) {
+    util::MutableByteSpan chunk = out.subspan(offsets.front(), key.len);
+    if (delta) {
+      scratch.resize(key.len);
+      chunk = scratch;
+    }
+    source.get_into(key, chunk);
+    ++counters.chunks_fetched;
+    if (util::crc32c(chunk) != key.crc) {
       throw std::runtime_error("chunk " + chunk_key_name(key) +
                                ": content digest mismatch");
     }
-    if (!raw.empty()) {
-      std::memcpy(out.data() + out_off, raw.data(), raw.size());
+    if (key.len == 0) {
+      continue;
     }
-    out_off += raw.size();
+    if (!delta) {
+      for (std::size_t i = 1; i < offsets.size(); ++i) {
+        std::memcpy(out.data() + offsets[i], chunk.data(), key.len);
+      }
+    } else if (all_zero(chunk)) {
+      ++counters.zero_chunks_skipped;
+    } else {
+      for (const std::uint64_t off : offsets) {
+        codec::xor_with_parent_inplace(out.subspan(off, key.len), chunk);
+      }
+    }
   }
-  return out;
 }
 
 /// Reassembles a chunk frame into the raw payload, verifying every chunk
@@ -361,6 +391,17 @@ Bytes decode_chunked_payload(codec::CodecId codec, ByteSpan frame,
   return out;
 }
 }  // namespace
+
+void ChunkSource::get_into(const ChunkKey& key, util::MutableByteSpan out) {
+  const Bytes raw = get(key);
+  if (raw.size() != out.size()) {
+    throw std::runtime_error("chunk " + chunk_key_name(key) +
+                             ": content digest mismatch");
+  }
+  if (!raw.empty()) {
+    std::memcpy(out.data(), raw.data(), raw.size());
+  }
+}
 
 ChunkKey chunk_key(ByteSpan raw) {
   return ChunkKey{.crc = util::crc32c(raw), .len = raw.size()};
@@ -558,9 +599,12 @@ std::uint64_t encode_checkpoint(const CheckpointFile& file,
 namespace {
 
 /// Shared parse loop. In strict mode any problem throws; in salvage mode
-/// problems are recorded and parsing continues where possible.
-CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
-                     bool* fully_intact, std::vector<std::string>* notes) {
+/// problems are recorded and parsing continues where possible. With
+/// `extern_keys` set (read_container), extern sections are not fetched:
+/// their key tables land there, parallel to the returned sections.
+CheckpointFile parse(ByteSpan data, ChunkSource* source, bool strict,
+                     bool* fully_intact, std::vector<std::string>* notes,
+                     std::vector<std::vector<ChunkKey>>* extern_keys) {
   auto fail = [&](const std::string& what) {
     if (strict) {
       throw CorruptCheckpoint(what);
@@ -637,18 +681,24 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
       fail("section " + section_kind_name(s.kind) + ": CRC32C mismatch");
       continue;  // salvage mode: skip this section, keep going
     }
+    std::vector<ChunkKey> keys;
     try {
       if ((s.flags & kSectionFlagExtern) != 0) {
         if (version < 3) {
           throw std::runtime_error("extern section in a version-" +
                                    std::to_string(version) + " file");
         }
-        if (options.source == nullptr) {
+        if (source == nullptr && extern_keys == nullptr) {
           throw std::runtime_error(
               "extern section needs a chunk store (no source)");
         }
-        s.payload = resolve_extern_payload(*options.source, encoded, raw_len);
-        s.flags &= static_cast<std::uint8_t>(~kSectionFlagExtern);
+        keys = parse_extern_table(encoded, raw_len);
+        if (extern_keys == nullptr) {
+          FoldCounters unused;
+          fold_extern_section(*source, keys, /*delta=*/false, s.payload,
+                              unused);
+          s.flags &= static_cast<std::uint8_t>(~kSectionFlagExtern);
+        }
       } else if ((s.flags & kSectionFlagChunked) != 0) {
         if (version < 2) {
           throw std::runtime_error("chunked section in a version-1 file");
@@ -664,6 +714,9 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
       continue;
     }
     file.sections.push_back(std::move(s));
+    if (extern_keys != nullptr) {
+      extern_keys->push_back(std::move(keys));
+    }
   }
   return file;
 }
@@ -671,11 +724,66 @@ CheckpointFile parse(ByteSpan data, const DecodeOptions& options, bool strict,
 }  // namespace
 
 CheckpointFile decode_checkpoint(ByteSpan data) {
-  return parse(data, DecodeOptions{}, /*strict=*/true, nullptr, nullptr);
+  return decode_checkpoint(data, DecodeOptions{});
 }
 
 CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options) {
-  return parse(data, options, /*strict=*/true, nullptr, nullptr);
+  return parse(data, options.source, /*strict=*/true, nullptr, nullptr,
+               nullptr);
+}
+
+ContainerFile read_container(ByteSpan data) {
+  ContainerFile container;
+  container.file = parse(data, nullptr, /*strict=*/true, nullptr, nullptr,
+                         &container.keys);
+  return container;
+}
+
+std::vector<Section> fold_chain(std::vector<ContainerFile> root_first,
+                                ChunkSource& source, FoldCounters& counters) {
+  std::map<SectionKind, Bytes> resolved;
+  for (ContainerFile& link : root_first) {
+    for (std::size_t i = 0; i < link.file.sections.size(); ++i) {
+      Section& s = link.file.sections[i];
+      const bool is_extern = (s.flags & kSectionFlagExtern) != 0;
+      Bytes* target = nullptr;
+      if (s.is_delta()) {
+        const auto base = resolved.find(s.kind);
+        if (base == resolved.end()) {
+          throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
+                                  " has no base in ancestor chain");
+        }
+        if (!is_extern) {
+          codec::xor_with_parent_inplace(s.payload, base->second);
+          base->second = std::move(s.payload);
+          continue;
+        }
+        target = &base->second;
+      } else if (!is_extern) {
+        resolved[s.kind] = std::move(s.payload);
+        continue;
+      } else {
+        target = &resolved[s.kind];
+      }
+      try {
+        fold_extern_section(source, link.keys[i], s.is_delta(), *target,
+                            counters);
+      } catch (const std::exception& e) {
+        throw CorruptCheckpoint("section " + section_kind_name(s.kind) +
+                                ": decode failed: " + e.what());
+      }
+    }
+  }
+
+  std::vector<Section> sections;
+  sections.reserve(resolved.size());
+  for (auto& [kind, payload] : resolved) {
+    sections.push_back(Section{.kind = kind,
+                               .codec = codec::CodecId::kRaw,
+                               .flags = 0,
+                               .payload = std::move(payload)});
+  }
+  return sections;
 }
 
 SalvageResult salvage_checkpoint(ByteSpan data) {
@@ -686,8 +794,8 @@ SalvageResult salvage_checkpoint(ByteSpan data, const DecodeOptions& options) {
   SalvageResult result;
   result.fully_intact = true;
   try {
-    result.file = parse(data, options, /*strict=*/false,
-                        &result.fully_intact, &result.notes);
+    result.file = parse(data, options.source, /*strict=*/false,
+                        &result.fully_intact, &result.notes, nullptr);
   } catch (const std::exception& e) {
     result.fully_intact = false;
     result.notes.push_back(e.what());

@@ -173,10 +173,17 @@ class ChunkSink {
 /// Where the decoder resolves extern chunks from. get() returns the raw
 /// chunk bytes, fully verified against the key (digest + length), and
 /// throws std::runtime_error when the chunk is absent or corrupt.
+///
+/// get_into() writes the raw bytes into a caller's buffer of exactly
+/// key.len bytes instead. It may leave out the content-digest check:
+/// its caller verifies the placed bytes against the key itself (the
+/// decoder always does). It still throws when the chunk is absent or
+/// does not decode to key.len bytes. The default copies get()'s bytes.
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
   virtual Bytes get(const ChunkKey& key) = 0;
+  virtual void get_into(const ChunkKey& key, util::MutableByteSpan out);
 };
 
 /// One decoded (in-memory) section: raw payload + how it was stored.
@@ -305,6 +312,48 @@ struct DecodeOptions {
 /// their keys). Throws CorruptCheckpoint on any failure.
 CheckpointFile decode_checkpoint(ByteSpan data);
 CheckpointFile decode_checkpoint(ByteSpan data, const DecodeOptions& options);
+
+// --- Incremental chain resolution (ckpt/recovery.cpp) ---
+//
+// decode_checkpoint fetches a file's extern chunks as it parses. Chain
+// recovery instead reads every link as a container first (no chunk is
+// fetched), then folds the links root to leaf, chunk by chunk, into one
+// buffer per section kind. A delta extern section XORs each of its
+// distinct chunks into that buffer at the chunk's offsets, so no link's
+// delta payload is ever materialised, and a chunk whose verified bytes
+// are all zero (an unchanged block) is skipped.
+
+/// A fully verified container whose extern sections are not fetched yet.
+struct ContainerFile {
+  /// Header fields and sections. An extern section keeps
+  /// kSectionFlagExtern and an empty payload; inline sections hold their
+  /// decoded payload, as decode_checkpoint returns them.
+  CheckpointFile file;
+  /// Key table of each section, parallel to file.sections (empty for
+  /// inline sections).
+  std::vector<std::vector<ChunkKey>> keys;
+};
+
+/// decode_checkpoint without the chunk fetches: the magics, every
+/// section CRC32C and the footer CRC64 are verified, inline sections
+/// decoded and extern key tables parsed. Throws CorruptCheckpoint.
+ContainerFile read_container(ByteSpan data);
+
+/// Chunk traffic of one fold_chain call.
+struct FoldCounters {
+  std::uint64_t chunks_fetched = 0;       ///< get_into() calls
+  std::uint64_t zero_chunks_skipped = 0;  ///< verified all-zero delta chunks
+};
+
+/// Resolves a chain given ROOT FIRST into its non-delta sections (one
+/// per kind, in kind order), consuming the links. Each distinct chunk
+/// key is fetched once per section and its placed bytes are CRC32C-
+/// checked against the key before use, whatever `source` checked. A
+/// delta section's result has the delta's length, as
+/// codec::xor_with_parent_inplace gives it. Throws CorruptCheckpoint on
+/// a delta without a base and on any chunk that is absent or corrupt.
+std::vector<Section> fold_chain(std::vector<ContainerFile> root_first,
+                                ChunkSource& source, FoldCounters& counters);
 
 /// Best-effort parse for forensics / fallback: returns whatever sections
 /// verify individually, plus human-readable notes on what was wrong.

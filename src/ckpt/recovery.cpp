@@ -6,24 +6,11 @@
 #include "ckpt/cas.hpp"
 #include "ckpt/state_codec.hpp"
 #include "ckpt/wal.hpp"
-#include "codec/xor_delta.hpp"
 #include "tier/tiered_env.hpp"
 
 namespace qnn::ckpt {
 
 namespace {
-
-/// Reads + strictly decodes one checkpoint file by manifest entry (or raw
-/// file name), resolving content-addressed sections through `source`.
-/// Throws on any problem.
-CheckpointFile read_one(io::Env& env, const std::string& dir,
-                        const std::string& file_name, ChunkSource* source) {
-  const auto data = env.read_file(dir + "/" + file_name);
-  if (!data) {
-    throw CorruptCheckpoint("file missing: " + file_name);
-  }
-  return decode_checkpoint(*data, DecodeOptions{.source = source});
-}
 
 /// Candidate list: manifest entries if present, else directory scan.
 /// Manifest damage (unparseable lines) is reported through `notes`.
@@ -56,66 +43,57 @@ std::vector<ManifestEntry> candidates(io::Env& env, const std::string& dir,
   return found;
 }
 
-/// Fully resolves checkpoint `id`: loads its ancestor chain and applies
-/// XOR deltas root-to-leaf. Returns resolved (non-delta) sections.
-/// A v3 file's extern sections resolve through `source` (the
-/// directory's chunk store — shared across candidates so its packfile
-/// scan happens once per recovery, not once per attempt); a missing or
-/// corrupt chunk throws like any other damage, so callers fall back to
-/// older candidates instead of accepting it.
-std::vector<Section> resolve_chain(io::Env& env, const std::string& dir,
-                                   std::uint64_t id,
-                                   const RecoveryOptions& options,
-                                   ChunkSource* source,
-                                   std::size_t* depth_out = nullptr) {
-  // Collect leaf -> root.
-  std::vector<CheckpointFile> chain;
-  std::uint64_t cur = id;
-  while (cur != 0) {
-    if (chain.size() >= options.max_chain) {
-      throw CorruptCheckpoint("incremental chain too long or cyclic");
-    }
-    CheckpointFile file =
-        read_one(env, dir, checkpoint_file_name(cur), source);
-    if (file.checkpoint_id != cur) {
-      throw CorruptCheckpoint("checkpoint id does not match file name");
-    }
-    const std::uint64_t parent = file.parent_id;
-    chain.push_back(std::move(file));
-    cur = parent;
-  }
-  if (depth_out != nullptr) {
-    *depth_out = chain.size();
-  }
-
-  // Root first; fold deltas forward. Each section's decoded buffer is
-  // folded in place and moved into `resolved`: no per-link copy.
-  std::map<SectionKind, Bytes> resolved;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    for (Section& s : it->sections) {
-      if (s.is_delta()) {
-        const auto base = resolved.find(s.kind);
-        if (base == resolved.end()) {
-          throw CorruptCheckpoint("delta section " + section_kind_name(s.kind) +
-                                  " has no base in ancestor chain");
-        }
-        codec::xor_with_parent_inplace(s.payload, base->second);
-        base->second = std::move(s.payload);
-      } else {
-        resolved[s.kind] = std::move(s.payload);
-      }
-    }
-  }
-
+/// A resolved chain: its non-delta sections plus what resolving it did.
+struct ResolvedChain {
   std::vector<Section> sections;
-  sections.reserve(resolved.size());
-  for (auto& [kind, payload] : resolved) {
-    sections.push_back(Section{.kind = kind,
-                               .codec = codec::CodecId::kRaw,
-                               .flags = 0,
-                               .payload = std::move(payload)});
+  std::size_t depth = 0;
+  FoldCounters chunks;
+};
+
+/// Fully resolves checkpoint `id` in two stages, traced as `chain.read`
+/// and `chain.fold` under `parent_span`. Read: the ancestor chain, leaf
+/// to root, as verified containers (no chunk fetched yet). Fold: root
+/// to leaf into one buffer per section kind, chunk by chunk (see
+/// fold_chain), so recovery holds about one state plus a few chunks
+/// rather than every decoded link. Extern chunks resolve through
+/// `source` (the directory's chunk store — shared across candidates so
+/// its packfile scan happens once per recovery, not once per attempt);
+/// a missing or corrupt chunk throws like any other damage, so callers
+/// fall back to older candidates instead of accepting it.
+ResolvedChain resolve_chain(io::Env& env, const std::string& dir,
+                            std::uint64_t id, const RecoveryOptions& options,
+                            ChunkSource& source, std::uint64_t parent_span) {
+  std::vector<ContainerFile> chain;
+  {
+    obs::Span read(options.tracer, "chain.read", "recovery", parent_span);
+    std::uint64_t cur = id;
+    while (cur != 0) {
+      if (chain.size() >= options.max_chain) {
+        throw CorruptCheckpoint("incremental chain too long or cyclic");
+      }
+      const std::string name = checkpoint_file_name(cur);
+      const auto data = env.read_file(dir + "/" + name);
+      if (!data) {
+        throw CorruptCheckpoint("file missing: " + name);
+      }
+      ContainerFile link = read_container(*data);
+      if (link.file.checkpoint_id != cur) {
+        throw CorruptCheckpoint("checkpoint id does not match file name");
+      }
+      cur = link.file.parent_id;
+      chain.push_back(std::move(link));
+    }
+    read.note("links", chain.size());
   }
-  return sections;
+
+  ResolvedChain out;
+  out.depth = chain.size();
+  obs::Span fold(options.tracer, "chain.fold", "recovery", parent_span);
+  std::reverse(chain.begin(), chain.end());
+  out.sections = fold_chain(std::move(chain), source, out.chunks);
+  fold.note("chunks_fetched", out.chunks.chunks_fetched);
+  fold.note("zero_chunks_skipped", out.chunks.zero_chunks_skipped);
+  return out;
 }
 
 }  // namespace
@@ -124,7 +102,8 @@ qnn::TrainingState load_checkpoint(io::Env& env, const std::string& dir,
                                    std::uint64_t id,
                                    const RecoveryOptions& options) {
   ChunkStore cas(env, dir);
-  return sections_to_state(resolve_chain(env, dir, id, options, &cas));
+  return sections_to_state(
+      resolve_chain(env, dir, id, options, cas, /*parent_span=*/0).sections);
 }
 
 std::optional<RecoveryOutcome> recover_latest(io::Env& env,
@@ -202,13 +181,16 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
     try {
       RecoveryOutcome outcome;
       record("candidate.try", {{"id", std::to_string(it->id)}});
-      std::size_t chain_depth = 0;
-      std::vector<Section> sections =
-          resolve_chain(env, dir, it->id, options, &cas, &chain_depth);
+      ResolvedChain chain =
+          resolve_chain(env, dir, it->id, options, cas, attempt.id());
+      std::vector<Section> sections = std::move(chain.sections);
       record("chain.resolved",
              {{"id", std::to_string(it->id)},
-              {"depth", std::to_string(chain_depth)},
-              {"sections", std::to_string(sections.size())}});
+              {"depth", std::to_string(chain.depth)},
+              {"sections", std::to_string(sections.size())},
+              {"chunks_fetched", std::to_string(chain.chunks.chunks_fetched)},
+              {"zero_chunks_skipped",
+               std::to_string(chain.chunks.zero_chunks_skipped)}});
       // Redo-only journal replay: fold the candidate's delta journal
       // (wal-<id>.qwal) into its resolved sections, up to the last
       // record whose frame CRC validates; torn tails are truncated.
@@ -231,7 +213,7 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
                                        .payload = std::move(payload)});
           }
           try {
-            outcome.state = sections_to_state(replayed);
+            outcome.state = sections_to_state(std::move(replayed));
             sections.clear();
             record("wal.replay",
                    {{"id", std::to_string(it->id)},
@@ -256,7 +238,7 @@ std::optional<RecoveryOutcome> recover_latest(io::Env& env,
         }
       }
       if (!sections.empty()) {
-        outcome.state = sections_to_state(sections);
+        outcome.state = sections_to_state(std::move(sections));
       }
       outcome.checkpoint_id = it->id;
       outcome.step = outcome.state.step;

@@ -4,8 +4,9 @@
 //   1. load the manifest; if it is missing/empty, rescan the directory for
 //      canonical checkpoint file names;
 //   2. walk candidates newest-first; for each, read + strictly verify the
-//      file, resolve its incremental chain (every ancestor must verify),
-//      XOR-undelta each section against its parent's resolved payload;
+//      file and every ancestor as containers (chain.read), then fold the
+//      chain root to leaf into one buffer per section, XORing each
+//      delta in chunk by chunk (chain.fold, see ckpt::fold_chain);
 //   3. redo-only journal replay: when the candidate has a delta journal
 //      (wal-<id>.qwal, see ckpt/wal.hpp), fold its records into the
 //      resolved sections up to the last frame whose CRC validates,

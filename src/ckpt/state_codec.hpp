@@ -25,5 +25,8 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
 /// Throws CorruptCheckpoint when required sections are missing or
 /// malformed. The simulator section is optional.
 qnn::TrainingState sections_to_state(const std::vector<Section>& sections);
+/// Same, moving the byte payloads (optimizer, RNG, simulator) into the
+/// state instead of copying them.
+qnn::TrainingState sections_to_state(std::vector<Section>&& sections);
 
 }  // namespace qnn::ckpt

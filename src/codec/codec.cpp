@@ -1,5 +1,6 @@
 #include "codec/codec.hpp"
 
+#include <cstring>
 #include <stdexcept>
 
 #include "codec/xor_delta.hpp"
@@ -67,6 +68,35 @@ Bytes decode(CodecId id, ByteSpan encoded, std::size_t raw_len) {
       return xor_undelta64(lz_decode(encoded, raw_len));
     case CodecId::kDeltaRle:
       return xor_undelta64(rle_decode(encoded, raw_len));
+  }
+  throw std::invalid_argument("decode: unknown codec id");
+}
+
+void decode_into(CodecId id, ByteSpan encoded, MutableByteSpan out) {
+  switch (id) {
+    case CodecId::kRaw:
+      if (encoded.size() != out.size()) {
+        throw std::runtime_error("decode(raw): length mismatch");
+      }
+      if (!out.empty()) {
+        std::memcpy(out.data(), encoded.data(), out.size());
+      }
+      return;
+    case CodecId::kLz:
+      lz_decode_into(encoded, out);
+      return;
+    case CodecId::kDeltaLz:
+      lz_decode_into(encoded, out);
+      xor_undelta64_inplace(out);
+      return;
+    case CodecId::kRle:
+    case CodecId::kDeltaRle: {
+      const Bytes raw = decode(id, encoded, out.size());
+      if (!raw.empty()) {
+        std::memcpy(out.data(), raw.data(), raw.size());
+      }
+      return;
+    }
   }
   throw std::invalid_argument("decode: unknown codec id");
 }

@@ -21,6 +21,7 @@ namespace qnn::codec {
 
 using util::Bytes;
 using util::ByteSpan;
+using util::MutableByteSpan;
 
 /// On-disk codec identifiers. Values are part of the checkpoint format —
 /// never renumber.
@@ -47,6 +48,11 @@ Bytes encode(CodecId id, ByteSpan raw);
 /// does any malformed stream.
 Bytes decode(CodecId id, ByteSpan encoded, std::size_t raw_len);
 
+/// decode() into a caller's buffer of exactly the decoded size: the same
+/// bytes and the same accept/reject decision. Raw, Lz and DeltaLz write
+/// straight into `out`; the Rle codecs decode and copy.
+void decode_into(CodecId id, ByteSpan encoded, MutableByteSpan out);
+
 /// All codecs, for sweep-style tests and the T2 codec shootout.
 inline constexpr CodecId kAllCodecs[] = {CodecId::kRaw, CodecId::kRle,
                                          CodecId::kLz, CodecId::kDeltaLz,
@@ -69,10 +75,16 @@ Bytes lz_encode(ByteSpan raw);
 /// already written.
 Bytes lz_decode(ByteSpan encoded, std::size_t raw_len);
 
+/// lz_decode into a caller's buffer of exactly raw_len = out.size()
+/// bytes: the same validation in the same order (the same exception for
+/// every rejected stream), with no allocation. On a throw `out` holds
+/// whatever was decoded before the fault.
+void lz_decode_into(ByteSpan encoded, MutableByteSpan out);
+
 /// Byte-at-a-time reference decoder: same output bytes and the same
-/// accept/reject decision (same exception) as lz_decode for every
-/// stream. Parity oracle for tests and the scalar rows of the
-/// throughput bench.
+/// accept/reject decision (same exception) as lz_decode and
+/// lz_decode_into for every stream. Parity oracle for tests and the
+/// scalar rows of the throughput bench.
 Bytes lz_decode_scalar(ByteSpan encoded, std::size_t raw_len);
 
 }  // namespace qnn::codec

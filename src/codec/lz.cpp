@@ -102,7 +102,8 @@ Bytes lz_encode(ByteSpan raw) {
   return out;
 }
 
-// Both decoders validate the same token sequence in the same order, so
+// The scalar decoder and the wide one (behind lz_decode and
+// lz_decode_into) validate the same token sequence in the same order, so
 // they accept and reject exactly the same streams (and throw the same
 // exception for each rejected one); they differ only in how bytes move.
 
@@ -157,17 +158,64 @@ Bytes lz_decode_scalar(ByteSpan encoded, std::size_t raw_len) {
   return out;
 }
 
-Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
-  // Reserved up front and grown by appends, so no byte is written twice
-  // except those of a match at distance > 1 (resize zero-fills them
-  // before the copy lands).
-  Bytes out;
-  out.reserve(raw_len);
+namespace {
+
+/// Where the wide decoder writes. AppendOut grows a Bytes reserved to
+/// raw_len (lz_decode); SpanOut fills a caller's buffer of exactly
+/// raw_len bytes (lz_decode_into). Both hand out the next `n` bytes of
+/// output after the decoder has bounded n by raw_len - size().
+class AppendOut {
+ public:
+  explicit AppendOut(Bytes& out) : out_(out) {}
+  [[nodiscard]] std::size_t size() const { return out_.size(); }
+  void literals(const std::uint8_t* src, std::size_t n) {
+    out_.insert(out_.end(), src, src + n);
+  }
+  /// A distance-1 match: the resize fill is the whole copy.
+  void run(std::size_t n) { out_.resize(out_.size() + n, out_.back()); }
+  /// Room for a match; resize zero-fills it before the copy lands.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+
+ private:
+  Bytes& out_;
+};
+
+class SpanOut {
+ public:
+  explicit SpanOut(MutableByteSpan out) : base_(out.data()) {}
+  [[nodiscard]] std::size_t size() const { return size_; }
+  void literals(const std::uint8_t* src, std::size_t n) {
+    if (n != 0) {
+      std::memcpy(base_ + size_, src, n);
+    }
+    size_ += n;
+  }
+  void run(std::size_t n) {
+    std::memset(base_ + size_, base_[size_ - 1], n);
+    size_ += n;
+  }
+  std::uint8_t* grow(std::size_t n) {
+    std::uint8_t* const at = base_ + size_;
+    size_ += n;
+    return at;
+  }
+
+ private:
+  std::uint8_t* base_;
+  std::size_t size_ = 0;
+};
+
+template <typename Out>
+void lz_decode_wide(ByteSpan encoded, std::size_t raw_len, Out& out) {
   if (encoded.empty()) {
     if (raw_len != 0) {
       throw std::runtime_error("lz_decode: empty stream for non-empty output");
     }
-    return out;
+    return;
   }
 
   std::size_t pos = 0;
@@ -179,8 +227,7 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     if (lits > raw_len - out.size()) {
       throw std::runtime_error("lz_decode: output exceeds declared length");
     }
-    out.insert(out.end(), encoded.begin() + static_cast<std::ptrdiff_t>(pos),
-               encoded.begin() + static_cast<std::ptrdiff_t>(pos + lits));
+    out.literals(encoded.data() + pos, lits);
     pos += lits;
 
     const std::uint64_t match_code = util::get_varint(encoded, pos);
@@ -198,16 +245,12 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
     if (len > raw_len - out.size()) {
       throw std::runtime_error("lz_decode: output exceeds declared length");
     }
-    const std::size_t at = out.size();
     if (dist == 1) {
-      // A run of one byte (zero runs of sparse and XOR-delta chunks):
-      // the resize fill is the whole copy.
-      const std::uint8_t run = out[at - 1];
-      out.resize(at + len, run);
+      // A run of one byte (zero runs of sparse and XOR-delta chunks).
+      out.run(len);
       continue;
     }
-    out.resize(at + len);
-    std::uint8_t* const op = out.data() + at;
+    std::uint8_t* const op = out.grow(len);
     const std::uint8_t* const src = op - dist;
     if (dist >= len) {
       std::memcpy(op, src, len);
@@ -227,7 +270,24 @@ Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
   if (out.size() != raw_len) {
     throw std::runtime_error("lz_decode: output length mismatch");
   }
+}
+
+}  // namespace
+
+Bytes lz_decode(ByteSpan encoded, std::size_t raw_len) {
+  // Reserved up front and grown by appends, so no byte is written twice
+  // except those of a match at distance > 1 (resize zero-fills them
+  // before the copy lands).
+  Bytes out;
+  out.reserve(raw_len);
+  AppendOut sink(out);
+  lz_decode_wide(encoded, raw_len, sink);
   return out;
+}
+
+void lz_decode_into(ByteSpan encoded, MutableByteSpan out) {
+  SpanOut sink(out);
+  lz_decode_wide(encoded, out.size(), sink);
 }
 
 }  // namespace qnn::codec

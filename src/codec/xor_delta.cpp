@@ -50,7 +50,7 @@ Bytes xor_undelta64_scalar(ByteSpan data) {
 
 // --- vectorized defaults ---------------------------------------------------
 
-void xor_with_parent_inplace(Bytes& data, ByteSpan parent) {
+void xor_with_parent_inplace(MutableByteSpan data, ByteSpan parent) {
   std::uint8_t* const p = data.data();
   const std::size_t n = std::min(data.size(), parent.size());
   std::size_t i = 0;
@@ -114,9 +114,14 @@ Bytes xor_delta64(ByteSpan data) {
 
 Bytes xor_undelta64(ByteSpan data) {
   Bytes out(data.begin(), data.end());
+  xor_undelta64_inplace(out);
+  return out;
+}
+
+void xor_undelta64_inplace(MutableByteSpan out) {
   const std::size_t words = out.size() / 8;
   if (words < 2) {
-    return out;
+    return;
   }
   std::size_t i = 0;
 #if defined(__SSE2__)
@@ -143,7 +148,6 @@ Bytes xor_undelta64(ByteSpan data) {
     cur ^= prev;
     std::memcpy(out.data() + i * 8, &cur, 8);
   }
-  return out;
 }
 
 }  // namespace qnn::codec

@@ -24,6 +24,7 @@ namespace qnn::codec {
 
 using util::Bytes;
 using util::ByteSpan;
+using util::MutableByteSpan;
 
 /// data[i] ^ parent[i]; bytes past parent's length pass through unchanged
 /// (payload grew between checkpoints). Result size == data size.
@@ -31,7 +32,7 @@ Bytes xor_with_parent(ByteSpan data, ByteSpan parent);
 
 /// xor_with_parent without the copy: XORs `parent` into `data` in place
 /// (same pass-through of bytes past the parent's length).
-void xor_with_parent_inplace(Bytes& data, ByteSpan parent);
+void xor_with_parent_inplace(MutableByteSpan data, ByteSpan parent);
 
 /// Forward intra-buffer delta: word[i] ^= word[i-1] (64-bit words; the tail
 /// that does not fill a word is left untouched).
@@ -39,6 +40,9 @@ Bytes xor_delta64(ByteSpan data);
 
 /// Inverse of xor_delta64.
 Bytes xor_undelta64(ByteSpan data);
+
+/// xor_undelta64 without the copy.
+void xor_undelta64_inplace(MutableByteSpan data);
 
 /// Scalar reference implementations (the pre-vectorization loops).
 /// Byte-identical to the defaults; used by parity tests and the

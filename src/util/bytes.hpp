@@ -15,6 +15,7 @@ namespace qnn::util {
 
 using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
+using MutableByteSpan = std::span<std::uint8_t>;
 
 /// Appends `v` to `out` as `sizeof(T)` little-endian bytes.
 template <typename T>

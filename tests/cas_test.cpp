@@ -2,10 +2,18 @@
 // checkpoint dedup, refcounted GC over chunk keys, packfile sweeps and
 // compaction, the REFS journal, and recovery behaviour when packfiles
 // are damaged.
+//
+// Every object that owns a mutex (MemEnv, ChunkStore, Checkpointer,
+// CheckpointStore) is heap-allocated here. libstdc++'s std::mutex has a
+// trivial destructor, so ThreadSanitizer is never told that a stack
+// mutex died: a later test's mutex at the same stack address inherits
+// its lock-order history, and the deadlock detector then reports a
+// cycle between unrelated objects. free() does reset that history.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "ckpt/cas.hpp"
@@ -69,7 +77,8 @@ std::uint64_t dir_stored_bytes(io::MemEnv& env, const std::string& dir) {
 
 std::uint64_t run_checkpoints(io::MemEnv& env, CheckpointPolicy policy,
                               std::uint64_t n) {
-  Checkpointer ck(env, "cp", policy);
+  const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
+  Checkpointer& ck = *ck_heap;
   for (std::uint64_t step = 1; step <= n; ++step) {
     ck.checkpoint_now(big_state(step));
   }
@@ -80,12 +89,14 @@ std::uint64_t run_checkpoints(io::MemEnv& env, CheckpointPolicy policy,
 // ---------- cross-checkpoint dedup ----------
 
 TEST(Cas, FrozenStateDedupsAcrossCheckpoints) {
-  io::MemEnv v3_env;
+  const auto v3_env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& v3_env = *v3_env_heap;
   run_checkpoints(v3_env, cas_policy(), 10);
 
   CheckpointPolicy v2 = cas_policy();
   v2.format_version = kInlineFormatVersion;
-  io::MemEnv v2_env;
+  const auto v2_env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& v2_env = *v2_env_heap;
   run_checkpoints(v2_env, v2, 10);
 
   const std::uint64_t v3_stored = dir_stored_bytes(v3_env, "cp");
@@ -103,8 +114,10 @@ TEST(Cas, FrozenStateDedupsAcrossCheckpoints) {
 }
 
 TEST(Cas, DedupStatsExposeHitRatio) {
-  io::MemEnv env;
-  Checkpointer ck(env, "cp", cas_policy());
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
+  const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", cas_policy());
+  Checkpointer& ck = *ck_heap;
   for (std::uint64_t step = 1; step <= 5; ++step) {
     ck.checkpoint_now(big_state(step));
   }
@@ -122,12 +135,14 @@ TEST(Cas, DedupStatsExposeHitRatio) {
 }
 
 TEST(Cas, AsyncPipelineDedupsAndRecovers) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   CheckpointPolicy policy = cas_policy();
   policy.async = true;
   policy.encode_threads = 2;
   {
-    Checkpointer ck(env, "cp", policy);
+    const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
+    Checkpointer& ck = *ck_heap;
     for (std::uint64_t step = 1; step <= 8; ++step) {
       ck.checkpoint_now(big_state(step));
     }
@@ -141,7 +156,8 @@ TEST(Cas, AsyncPipelineDedupsAndRecovers) {
 }
 
 TEST(Cas, V2FallbackWritesSelfContainedFiles) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   CheckpointPolicy policy = cas_policy();
   policy.format_version = kInlineFormatVersion;
   run_checkpoints(env, policy, 3);
@@ -155,10 +171,12 @@ TEST(Cas, V2FallbackWritesSelfContainedFiles) {
 // ---------- refcounted GC ----------
 
 TEST(Cas, GcReleasesChunksButKeepsShared) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   CheckpointPolicy policy = cas_policy();
   policy.retention.keep_last = 2;
-  Checkpointer ck(env, "cp", policy);
+  const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
+  Checkpointer& ck = *ck_heap;
   for (std::uint64_t step = 1; step <= 10; ++step) {
     ck.checkpoint_now(big_state(step));
   }
@@ -180,11 +198,13 @@ TEST(Cas, GcReleasesChunksButKeepsShared) {
 }
 
 TEST(Cas, ChangedContentEventuallyReclaimsDeadPackfiles) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   CheckpointPolicy policy = cas_policy();
   policy.retention.keep_last = 1;
   {
-    Checkpointer ck(env, "cp", policy);
+    const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
+    Checkpointer& ck = *ck_heap;
     // Completely different payloads per step: once evicted, a
     // checkpoint's chunks are dead.
     for (std::uint64_t step = 1; step <= 6; ++step) {
@@ -193,7 +213,8 @@ TEST(Cas, ChangedContentEventuallyReclaimsDeadPackfiles) {
   }
   // A fresh startup (orphan sweep + compaction) leaves only live bytes.
   {
-    Checkpointer ck(env, "cp", policy);  // ctor runs the startup sweep
+    // The constructor runs the startup sweep.
+    const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
   }
   std::size_t pack_count = 0;
   std::uint64_t pack_bytes = 0;
@@ -211,10 +232,12 @@ TEST(Cas, ChangedContentEventuallyReclaimsDeadPackfiles) {
 }
 
 TEST(Cas, StartupSweepCompactsMixedPackfiles) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   CheckpointPolicy policy = cas_policy();
   {
-    Checkpointer ck(env, "cp", policy);
+    const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
+    Checkpointer& ck = *ck_heap;
     ck.checkpoint_now(big_state(1));  // pack-1: frozen chunks + step-1 tail
     ck.checkpoint_now(big_state(2));  // pack-2: step-2 tail only
   }
@@ -230,7 +253,9 @@ TEST(Cas, StartupSweepCompactsMixedPackfiles) {
     env.remove_file("cp/" + checkpoint_file_name(2));
   }
   {
-    CheckpointStore store(env, "cp", RetentionPolicy{});
+    const auto store_heap =
+        std::make_unique<CheckpointStore>(env, "cp", RetentionPolicy{});
+    CheckpointStore& store = *store_heap;
     const Manifest manifest = Manifest::load(env, "cp");
     store.sweep_orphans(manifest);
   }
@@ -248,7 +273,8 @@ TEST(Cas, OrphanReleaseUsesPreDeletionRefBaseline) {
   // orphan's file was already gone, releasing the orphan's references
   // would decrement counts that never included it — freeing chunks it
   // shares with live checkpoints.
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   run_checkpoints(env, cas_policy(), 2);  // 1 and 2 share the frozen chunks
   // Strand checkpoint 1 as an orphan (advertised no longer, file still
   // on disk) and lose the journal so the next store must rebuild. The
@@ -261,7 +287,10 @@ TEST(Cas, OrphanReleaseUsesPreDeletionRefBaseline) {
   }
   env.remove_file("cp/chunks/REFS");
 
-  CheckpointStore store(env, "cp", RetentionPolicy{});
+  const auto store_heap =
+      std::make_unique<CheckpointStore>(env, "cp", RetentionPolicy{});
+
+  CheckpointStore& store = *store_heap;
   const Manifest manifest = Manifest::load(env, "cp");
   EXPECT_EQ(store.sweep_orphans(manifest), 1u);
 
@@ -276,27 +305,35 @@ TEST(Cas, FirstInstallDoesNotDoubleCountOwnRefs) {
   // construction (quiescent), so an install's retain() is a pure delta.
   // A rebuild racing the install could count the just-written file AND
   // apply retain() on top — leaking its chunks forever after GC.
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   {
-    Checkpointer ck(env, "cp", cas_policy());
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(env, "cp", cas_policy());
+    Checkpointer& ck = *ck_heap;
     ck.checkpoint_now(big_state(1));
   }
   const Bytes data = *env.read_file("cp/" + checkpoint_file_name(1));
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   for (const ChunkKey& key : list_chunk_refs(data)) {
     EXPECT_EQ(store.ref_count(key), 1u) << chunk_key_name(key);
   }
 }
 
 TEST(Cas, OrphanPackfileFromCrashedInstallIsSwept) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   {
-    Checkpointer ck(env, "cp", cas_policy());
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(env, "cp", cas_policy());
+    Checkpointer& ck = *ck_heap;
     ck.checkpoint_now(big_state(1));
   }
   // Simulate a crash between packfile install and checkpoint write: a
   // packfile exists whose chunks nothing references.
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   auto batch = store.begin_batch(99);
   const Bytes junk(300, 0x5A);
   const ChunkKey key = chunk_key(junk);
@@ -307,7 +344,9 @@ TEST(Cas, OrphanPackfileFromCrashedInstallIsSwept) {
 
   ASSERT_TRUE(env.exists("cp/chunks/" + pack_file_name(99)));
   {
-    Checkpointer ck(env, "cp", cas_policy());  // startup sweep
+    // Startup sweep.
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(env, "cp", cas_policy());
   }
   EXPECT_FALSE(env.exists("cp/chunks/" + pack_file_name(99)));
   EXPECT_EQ(load_checkpoint(env, "cp", 1), big_state(1));
@@ -319,7 +358,8 @@ TEST(Cas, SingleChunkResolutionReadsOnlyFooterTableAndChunk) {
   // The core ranged-read claim, asserted in BYTES: opening a store and
   // resolving one chunk preads the pack header probe + footer + key
   // table + that record's encoded bytes — never the packfile.
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   run_checkpoints(env, cas_policy(), 1);
   const Bytes file_data = *env.read_file("cp/" + checkpoint_file_name(1));
   const auto refs = list_chunk_refs(file_data);
@@ -328,7 +368,9 @@ TEST(Cas, SingleChunkResolutionReadsOnlyFooterTableAndChunk) {
   const std::string pack = "cp/chunks/" + pack_file_name(1);
   const std::uint64_t pack_bytes = env.file_size(pack).value();
 
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+
+  ChunkStore& store = *store_heap;
   const std::uint64_t before = env.bytes_read();
   EXPECT_EQ(store.get(key).size(), key.len);
   const std::uint64_t read = env.bytes_read() - before;
@@ -347,11 +389,15 @@ TEST(Cas, ColdPackOpenAndResolveReadOnlyFooterTableAndChunk) {
   // ranged peek (footer + key table through the cold tier) and the
   // requested chunk preads exactly its record — the capacity tier never
   // serves the pack's bulk for a single-chunk need.
-  io::MemEnv hot_base;
-  io::MemEnv cold_base;
+  const auto hot_base_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& hot_base = *hot_base_heap;
+  const auto cold_base_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& cold_base = *cold_base_heap;
   {
     tier::TieredEnv setup(hot_base, cold_base);
-    Checkpointer ck(setup, "cp", cas_policy());
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(setup, "cp", cas_policy());
+    Checkpointer& ck = *ck_heap;
     ck.checkpoint_now(big_state(1));
   }
   const Bytes file_data =
@@ -366,7 +412,8 @@ TEST(Cas, ColdPackOpenAndResolveReadOnlyFooterTableAndChunk) {
   const std::uint64_t pack_bytes = cold_base.file_size(pack).value();
 
   tier::TieredEnv env(hot_base, cold_base, /*promote_on_read=*/false);
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   const std::uint64_t before = cold_base.bytes_read();
   EXPECT_EQ(store.get(key).size(), key.len);
   const std::uint64_t cold_read = cold_base.bytes_read() - before;
@@ -381,7 +428,8 @@ TEST(Cas, ColdPackOpenAndResolveReadOnlyFooterTableAndChunk) {
 // ---------- the REFS journal ----------
 
 TEST(Cas, RefsJournalWrittenAndTrusted) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   run_checkpoints(env, cas_policy(), 3);
   const auto refs = env.read_file("cp/chunks/REFS");
   ASSERT_TRUE(refs.has_value());
@@ -391,17 +439,20 @@ TEST(Cas, RefsJournalWrittenAndTrusted) {
   EXPECT_NE(text.find("ref "), std::string::npos);
 
   // A fresh store trusts a journal that covers the directory exactly.
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   store.open();
   EXPECT_EQ(store.stats().refs_rebuilds, 0u);
 }
 
 TEST(Cas, StaleRefsJournalTriggersRebuild) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   run_checkpoints(env, cas_policy(), 3);
   // Manipulate the directory behind the journal's back.
   env.remove_file("cp/" + checkpoint_file_name(3));
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   store.open();
   EXPECT_EQ(store.stats().refs_rebuilds, 1u);
   // Rebuilt counts reflect files, not the stale journal: checkpoint 3's
@@ -413,26 +464,30 @@ TEST(Cas, StaleRefsJournalTriggersRebuild) {
 }
 
 TEST(Cas, DamagedRefsJournalTriggersRebuild) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   run_checkpoints(env, cas_policy(), 2);
   const std::string garbage = "qnnckpt-refs v1\ncovers 1,2\nref ?!? what\n";
   env.write_file_atomic(
       "cp/chunks/REFS",
       util::ByteSpan{reinterpret_cast<const std::uint8_t*>(garbage.data()),
                      garbage.size()});
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   store.open();
   EXPECT_EQ(store.stats().refs_rebuilds, 1u);
   EXPECT_EQ(load_checkpoint(env, "cp", 2), big_state(2));
 }
 
 TEST(Cas, UnreadableCheckpointFileDisablesSweep) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   run_checkpoints(env, cas_policy(), 2);
   env.remove_file("cp/chunks/REFS");
   // Corrupt checkpoint 1: its references become unknowable.
   ASSERT_TRUE(env.flip_bit("cp/" + checkpoint_file_name(1), 1234));
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   store.open();
   // Nothing may die — even chunks no readable file references.
   EXPECT_EQ(store.sweep(/*compact=*/true), 0u);
@@ -442,10 +497,12 @@ TEST(Cas, UnreadableCheckpointFileDisablesSweep) {
 // ---------- damage behaviour ----------
 
 TEST(Cas, DamagedPackfileFallsBackToOlderCheckpoint) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   CheckpointPolicy policy = cas_policy();
   {
-    Checkpointer ck(env, "cp", policy);
+    const auto ck_heap = std::make_unique<Checkpointer>(env, "cp", policy);
+    Checkpointer& ck = *ck_heap;
     ck.checkpoint_now(big_state(1, 512, 512));  // disjoint content
     ck.checkpoint_now(big_state(2, 512, 512));
   }
@@ -459,9 +516,12 @@ TEST(Cas, DamagedPackfileFallsBackToOlderCheckpoint) {
 }
 
 TEST(Cas, VerifyDirectoryFlagsChunkDamage) {
-  io::MemEnv env;
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
   {
-    Checkpointer ck(env, "cp", cas_policy());
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(env, "cp", cas_policy());
+    Checkpointer& ck = *ck_heap;
     ck.checkpoint_now(big_state(1, 512, 512));
     ck.checkpoint_now(big_state(2, 512, 512));
   }
@@ -509,9 +569,11 @@ TEST(Cas, PackHandleCacheHoldsFourPacksWithoutReopens) {
   // Interleaved reads across up to four packs must reuse cached
   // handles: the old single-slot cache thrashed (reopen per get) the
   // moment two packs alternated.
-  io::MemEnv base;
+  const auto base_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& base = *base_heap;
   CountingEnv env(base);
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   std::vector<ChunkKey> keys;
   for (std::uint64_t epoch = 1; epoch <= 4; ++epoch) {
     keys.push_back(store_one_pack(store, epoch));
@@ -532,9 +594,11 @@ TEST(Cas, PackHandleCacheHoldsFourPacksWithoutReopens) {
 }
 
 TEST(Cas, PackHandleCacheEvictsLeastRecentlyUsed) {
-  io::MemEnv base;
+  const auto base_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& base = *base_heap;
   CountingEnv env(base);
-  ChunkStore store(env, "cp");
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   std::vector<ChunkKey> keys;
   for (std::uint64_t epoch = 1; epoch <= 6; ++epoch) {
     keys.push_back(store_one_pack(store, epoch));
@@ -559,8 +623,10 @@ TEST(Cas, ShardedIndexConcurrentProbesAndRefsStayExact) {
   // dedup probes (pin_and_probe via Batch::contains), retain/release,
   // and concurrent publishes of new packs — and the final refcounts
   // must come out EXACT: the per-shard locking loses no update.
-  io::MemEnv env;
-  ChunkStore store(env, "cp");
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& env = *env_heap;
+  const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
+  ChunkStore& store = *store_heap;
   constexpr std::size_t kKeys = 32;
   constexpr int kThreads = 8;
   constexpr int kRounds = 20;

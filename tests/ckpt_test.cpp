@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -10,12 +11,14 @@
 #include "ckpt/checkpointer.hpp"
 #include "ckpt/recovery.hpp"
 #include "ckpt/state_codec.hpp"
+#include "codec/xor_delta.hpp"
 #include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
 #include "qnn/ansatz.hpp"
 #include "util/strings.hpp"
 #include "qnn/loss.hpp"
 #include "qnn/trainer.hpp"
+#include "util/crc.hpp"
 
 namespace qnn::ckpt {
 namespace {
@@ -767,13 +770,17 @@ TEST(Recovery, LoadCheckpointThrowsOnMissingId) {
 
 // ---------- repeated chunk keys in incremental chains ----------
 
-/// ChunkSource decorator counting get() calls per key.
+/// ChunkSource decorator counting fetches (get() or get_into()) per key.
 class CountingSource final : public ChunkSource {
  public:
   explicit CountingSource(ChunkSource& inner) : inner_(inner) {}
   Bytes get(const ChunkKey& key) override {
     ++fetches[key];
     return inner_.get(key);
+  }
+  void get_into(const ChunkKey& key, util::MutableByteSpan out) override {
+    ++fetches[key];
+    inner_.get_into(key, out);
   }
   std::map<ChunkKey, int> fetches;
 
@@ -869,6 +876,288 @@ TEST(Recovery, CorruptRepeatedChunkStillRejectsCandidate) {
   EXPECT_EQ(outcome->state, frozen_params_state(1));
   EXPECT_GE(outcome->notes.size(), 2u);
   EXPECT_THROW(load_checkpoint(env, "cp", 3), std::exception);
+}
+
+/// The byte offset of `needle` in `path`'s bytes (which must hold it).
+std::uint64_t offset_of(io::MemEnv& env, const std::string& path,
+                        const Bytes& needle) {
+  const Bytes bytes = *env.read_file(path);
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), needle.begin(), needle.end());
+  EXPECT_NE(at, bytes.end()) << path;
+  return static_cast<std::uint64_t>(at - bytes.begin());
+}
+
+/// Flips one bit of the pack record whose encoded bytes start at `body`
+/// (`len` bytes), then recomputes every check the pack carries: the
+/// record's encoded CRC32C in its header and in the key table row, the
+/// table CRC32C and the footer CRC64. The damage then passes every
+/// check of the store, and only the chunk's content key can catch it.
+void forge_record(io::MemEnv& env, const std::string& pack,
+                  std::uint64_t body, std::uint64_t len) {
+  Bytes bytes = *env.read_file(pack);
+  bytes[body + len / 2] ^= 0x10;
+  const std::uint32_t enc_crc =
+      util::crc32c(ByteSpan(bytes).subspan(body, len));
+  const auto put_u32 = [&](std::size_t at, std::uint32_t v) {
+    std::memcpy(bytes.data() + at, &v, 4);
+  };
+  put_u32(body - 4, enc_crc);
+  // Footer: u32 n_records | u64 table_offset | u32 table CRC32C |
+  // u64 CRC64 | magic. Table rows: 26-byte record header + u64 offset.
+  constexpr std::size_t kRow = 26 + 8;
+  std::size_t foot = bytes.size() - 28;
+  const auto n_records = util::get_le<std::uint32_t>(bytes, foot);
+  const auto table = util::get_le<std::uint64_t>(bytes, foot);
+  bool rewrote_row = false;
+  for (std::size_t r = 0; r < n_records; ++r) {
+    std::size_t at = table + r * kRow + 26;
+    if (util::get_le<std::uint64_t>(bytes, at) == body) {
+      put_u32(table + r * kRow + 22, enc_crc);
+      rewrote_row = true;
+    }
+  }
+  ASSERT_TRUE(rewrote_row);
+  put_u32(bytes.size() - 16,
+          util::crc32c(ByteSpan(bytes).subspan(table, n_records * kRow)));
+  const std::uint64_t crc64 =
+      util::crc64(ByteSpan(bytes).first(bytes.size() - 12));
+  std::memcpy(bytes.data() + bytes.size() - 12, &crc64, 8);
+  env.write_file_atomic(pack, bytes);
+}
+
+TEST(Recovery, DamagedDeltaChunkInMiddleLinkFallsBackToPreviousCheckpoint) {
+  // Checkpoint 2's pack holds the shared zero chunk and its own non-zero
+  // delta chunks. Damage to either, caught by the store's record CRC or
+  // (forged) only by the content key, must reject candidates 3 and 2:
+  // the fold verifies every fetched chunk before it XORs or skips it.
+  const ChunkKey zero_key = chunk_key(Bytes(1024, 0));
+  for (const bool zero_chunk : {false, true}) {
+    for (const bool forged : {false, true}) {
+      const std::string where = std::string(zero_chunk ? "zero" : "non-zero") +
+                                (forged ? " chunk, forged" : " chunk");
+      io::MemEnv env;
+      write_repeated_key_chain(env);
+      const std::string pack = "cp/chunks/" + pack_file_name(2);
+      ChunkKey key = zero_key;
+      if (!zero_chunk) {
+        for (const ChunkKey& k : list_pack_keys(env, pack)) {
+          if (k.len == 1024 && k != zero_key) {
+            key = k;
+          }
+        }
+        ASSERT_NE(key, zero_key) << where;
+      }
+      // kRaw records store the chunk's raw bytes.
+      const Bytes chunk = ChunkStore(env, "cp").get(key);
+      const std::uint64_t body = offset_of(env, pack, chunk);
+      if (forged) {
+        forge_record(env, pack, body, chunk.size());
+        Bytes fetched(chunk.size());
+        ChunkStore(env, "cp").get_into(key, fetched);
+        EXPECT_NE(chunk_key(fetched), key) << where;
+      } else {
+        ASSERT_TRUE(env.flip_bit(pack, (body + chunk.size() / 2) * 8));
+      }
+
+      const auto outcome = recover_latest(env, "cp");
+      ASSERT_TRUE(outcome.has_value()) << where;
+      EXPECT_EQ(outcome->checkpoint_id, 1u) << where;
+      EXPECT_EQ(outcome->state, frozen_params_state(1)) << where;
+      EXPECT_GE(outcome->notes.size(), 2u) << where;
+      EXPECT_THROW(load_checkpoint(env, "cp", 2), CorruptCheckpoint) << where;
+      EXPECT_THROW(load_checkpoint(env, "cp", 3), CorruptCheckpoint) << where;
+    }
+  }
+}
+
+// ---------- chunk-wise chain fold ----------
+
+/// Chunk sink and source over a map of raw chunks (no packfiles).
+class MapChunks final : public ChunkSink, public ChunkSource {
+ public:
+  bool contains(const ChunkKey& key) override {
+    return chunks.count(key) != 0;
+  }
+  void put(const ChunkKey& key, codec::CodecId codec,
+           ByteSpan encoded) override {
+    chunks[key] = codec::decode(codec, encoded, key.len);
+  }
+  Bytes get(const ChunkKey& key) override { return chunks.at(key); }
+  std::map<ChunkKey, Bytes> chunks;
+};
+
+/// The oracle: the section-at-a-time fold recovery used before the
+/// chunk-wise one. Every link is decoded whole, then each delta is
+/// XORed into its base.
+std::map<SectionKind, Bytes> section_wise_fold(
+    const std::vector<Bytes>& root_first, ChunkSource& source) {
+  std::map<SectionKind, Bytes> resolved;
+  for (const Bytes& data : root_first) {
+    for (Section& s :
+         decode_checkpoint(data, DecodeOptions{.source = &source}).sections) {
+      Bytes payload = s.is_delta()
+                          ? codec::xor_with_parent(s.payload,
+                                                   resolved.at(s.kind))
+                          : std::move(s.payload);
+      resolved[s.kind] = std::move(payload);
+    }
+  }
+  return resolved;
+}
+
+/// `len` bytes made chunk by chunk of all-zero chunks, fresh random
+/// chunks and copies of `motif` (a repeated non-zero key). A `len` that
+/// is not a multiple of `chunk` leaves a short last chunk.
+Bytes patterned_payload(util::Rng& rng, std::size_t len, std::size_t chunk,
+                        const Bytes& motif) {
+  Bytes out(len, 0);
+  for (std::size_t at = 0; at < len; at += chunk) {
+    const std::size_t n = std::min(chunk, len - at);
+    switch (rng.uniform_u64(4)) {
+      case 0:
+      case 1:
+        break;
+      case 2:
+        for (std::size_t i = 0; i < n; ++i) {
+          out[at + i] = static_cast<std::uint8_t>(rng());
+        }
+        break;
+      default:
+        std::copy_n(motif.begin(), n, out.begin() + at);
+    }
+  }
+  return out;
+}
+
+TEST(FoldChain, ChunkWiseFoldMatchesSectionWiseOracle) {
+  // Seeded chains of depth 1-9 over three section kinds. Each section is
+  // a random mix of zero, random and repeated chunks with a random
+  // (often short) last chunk; it is inline when it fits one chunk and
+  // extern otherwise, so links mix both. Deltas change their length one
+  // time in three, and some mid-chain sections restart as full ones.
+  util::Rng rng(20261019);
+  const SectionKind kinds[] = {SectionKind::kParams, SectionKind::kOptimizer,
+                               SectionKind::kSimulator};
+  const codec::CodecId codecs[] = {codec::CodecId::kRaw, codec::CodecId::kLz,
+                                   codec::CodecId::kDeltaLz,
+                                   codec::CodecId::kRle};
+  std::uint64_t zero_skips = 0, resized = 0, inline_deltas = 0,
+                extern_deltas = 0;
+  for (int trial = 0; trial < 90; ++trial) {
+    const std::size_t depth = 1 + static_cast<std::size_t>(trial) % 9;
+    const std::size_t chunk = std::size_t{64} << rng.uniform_u64(3);
+    Bytes motif(chunk);
+    for (auto& b : motif) {
+      b = static_cast<std::uint8_t>(rng() | 1);
+    }
+    MapChunks store;
+    std::map<SectionKind, Bytes> truth;
+    std::vector<Bytes> files;
+    std::uint64_t distinct_fetches = 0;
+    for (std::size_t link = 0; link < depth; ++link) {
+      CheckpointFile file;
+      file.checkpoint_id = link + 1;
+      file.parent_id = link;
+      file.step = link + 1;
+      for (const SectionKind kind : kinds) {
+        const auto base = truth.find(kind);
+        const bool full = base == truth.end() || rng.uniform_u64(6) == 0;
+        std::size_t len = rng.uniform_u64(9 * chunk + chunk / 2);
+        if (!full && rng.uniform_u64(3) != 0) {
+          len = base->second.size();
+        }
+        Bytes payload = patterned_payload(rng, len, chunk, motif);
+        if (full) {
+          truth[kind] = payload;
+        } else {
+          resized += len != base->second.size() ? 1 : 0;
+          (len > chunk ? extern_deltas : inline_deltas) += 1;
+          truth[kind] = codec::xor_with_parent(payload, base->second);
+        }
+        file.sections.push_back(Section{
+            .kind = kind,
+            .codec = codecs[rng.uniform_u64(4)],
+            .flags = full ? std::uint8_t{0} : kSectionFlagDelta,
+            .payload = std::move(payload)});
+      }
+      files.push_back(encode_checkpoint(
+          file, EncodeOptions{.chunk_bytes = chunk, .sink = &store}));
+    }
+    std::vector<ContainerFile> links;
+    for (const Bytes& data : files) {
+      links.push_back(read_container(data));
+      for (const auto& keys : links.back().keys) {
+        distinct_fetches += std::set<ChunkKey>(keys.begin(), keys.end()).size();
+      }
+    }
+
+    FoldCounters counters;
+    const std::vector<Section> folded =
+        fold_chain(std::move(links), store, counters);
+    const auto oracle = section_wise_fold(files, store);
+    const std::string where = "trial " + std::to_string(trial);
+    ASSERT_EQ(folded.size(), oracle.size()) << where;
+    std::size_t i = 0;
+    for (const auto& [kind, payload] : oracle) {
+      EXPECT_EQ(folded[i].kind, kind) << where;
+      EXPECT_FALSE(folded[i].is_delta()) << where;
+      EXPECT_EQ(folded[i].payload, payload)
+          << where << " " << section_kind_name(kind);
+      EXPECT_EQ(payload, truth.at(kind)) << where;
+      ++i;
+    }
+    EXPECT_EQ(counters.chunks_fetched, distinct_fetches) << where;
+    zero_skips += counters.zero_chunks_skipped;
+  }
+  // The seed exercises every case the fold distinguishes.
+  EXPECT_GT(zero_skips, 0u);
+  EXPECT_GT(resized, 0u);
+  EXPECT_GT(inline_deltas, 0u);
+  EXPECT_GT(extern_deltas, 0u);
+}
+
+TEST(FoldChain, FetchesEachDistinctKeyOncePerSection) {
+  io::MemEnv env;
+  write_repeated_key_chain(env);
+  const ChunkKey zero_key = chunk_key(Bytes(1024, 0));
+  std::vector<ContainerFile> links;
+  std::map<ChunkKey, int> sections_with_key;
+  std::uint64_t distinct_per_section = 0;
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    links.push_back(
+        read_container(*env.read_file("cp/" + checkpoint_file_name(id))));
+    for (const auto& keys : links.back().keys) {
+      const std::set<ChunkKey> distinct(keys.begin(), keys.end());
+      distinct_per_section += distinct.size();
+      for (const ChunkKey& key : distinct) {
+        ++sections_with_key[key];
+      }
+    }
+  }
+  // Both deltas repeat the zero chunk many times in their params table.
+  ASSERT_EQ(sections_with_key[zero_key], 2);
+
+  ChunkStore store(env, "cp");
+  CountingSource counting(store);
+  FoldCounters counters;
+  std::vector<Section> sections =
+      fold_chain(std::move(links), counting, counters);
+  EXPECT_EQ(counting.fetches, sections_with_key);
+  EXPECT_EQ(counters.chunks_fetched, distinct_per_section);
+  EXPECT_EQ(counters.zero_chunks_skipped, 2u);
+  EXPECT_EQ(sections_to_state(std::move(sections)), frozen_params_state(3));
+
+  // recover_latest reports the same traffic in its flight recorder.
+  const auto outcome = recover_latest(env, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  const auto resolved = std::find_if(
+      outcome->events.begin(), outcome->events.end(),
+      [](const FlightEvent& e) { return e.name == "chain.resolved"; });
+  ASSERT_NE(resolved, outcome->events.end());
+  EXPECT_EQ(resolved->value("chunks_fetched"),
+            std::to_string(distinct_per_section));
+  EXPECT_EQ(resolved->value("zero_chunks_skipped"), "2");
 }
 
 // ---------- async writer ----------

@@ -102,6 +102,19 @@ TEST_P(CodecRoundTrip, EncodeDecodeIsIdentity) {
   EXPECT_EQ(decoded, pc.data) << codec_name(id) << " on " << pc.name;
 }
 
+TEST_P(CodecRoundTrip, DecodeIntoMatchesDecode) {
+  const auto [id, payload_idx] = GetParam();
+  const PayloadCase pc = payload_cases()[static_cast<std::size_t>(payload_idx)];
+  const Bytes encoded = encode(id, pc.data);
+  Bytes into(pc.data.size(), 0xEE);
+  decode_into(id, encoded, into);
+  EXPECT_EQ(into, pc.data) << codec_name(id) << " on " << pc.name;
+  // A buffer of the wrong size is a length mismatch, as in decode().
+  Bytes longer(pc.data.size() + 1);
+  EXPECT_THROW(decode_into(id, encoded, longer), std::runtime_error)
+      << codec_name(id) << " on " << pc.name;
+}
+
 TEST_P(CodecRoundTrip, WorstCaseExpansionBounded) {
   const auto [id, payload_idx] = GetParam();
   const PayloadCase pc = payload_cases()[static_cast<std::size_t>(payload_idx)];
@@ -247,10 +260,10 @@ TEST(Lz, WindowBoundaryRoundTrip) {
 
 // ---------- LZ decoder vs its byte-at-a-time oracle ----------
 //
-// lz_decode copies literal runs and matches with memcpy (doubling the
-// period of an overlapping match); lz_decode_scalar is the byte loop.
-// For every stream both must return the same bytes, or both throw the
-// same exception.
+// lz_decode and lz_decode_into copy literal runs and matches with
+// memcpy (doubling the period of an overlapping match);
+// lz_decode_scalar is the byte loop. For every stream all three must
+// return the same bytes, or all throw the same exception.
 
 /// The decoded bytes, or "<exception type>: <what>" of the throw.
 struct LzOutcome {
@@ -274,11 +287,21 @@ LzOutcome run_lz(Decode&& decode, ByteSpan enc, std::size_t raw_len) {
   return o;
 }
 
+/// lz_decode_into over a fresh buffer, in lz_decode's shape.
+Bytes lz_decode_into_fresh(ByteSpan enc, std::size_t raw_len) {
+  Bytes out(raw_len, 0xEE);
+  lz_decode_into(enc, out);
+  return out;
+}
+
 void expect_lz_parity(ByteSpan enc, std::size_t raw_len,
                       const std::string& where) {
   const LzOutcome wide = run_lz(lz_decode, enc, raw_len);
+  const LzOutcome into = run_lz(lz_decode_into_fresh, enc, raw_len);
   const LzOutcome scalar = run_lz(lz_decode_scalar, enc, raw_len);
   EXPECT_TRUE(wide == scalar) << where << ": '" << wide.error << "' vs '"
+                              << scalar.error << "'";
+  EXPECT_TRUE(into == scalar) << where << ": '" << into.error << "' vs '"
                               << scalar.error << "'";
 }
 
