@@ -1,6 +1,6 @@
 #include "ckpt/state_codec.hpp"
 
-#include <type_traits>
+#include <utility>
 
 namespace qnn::ckpt {
 
@@ -92,24 +92,12 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
   return sections;
 }
 
-namespace {
-
-/// Both sections_to_state overloads: `Sections` is const for the copying
-/// one, so take() copies there and moves otherwise.
-template <typename Sections>
-qnn::TrainingState assemble_state(Sections& sections) {
-  const auto take = [](auto& payload) -> Bytes {
-    if constexpr (std::is_const_v<Sections>) {
-      return payload;
-    } else {
-      return std::move(payload);
-    }
-  };
+qnn::TrainingState sections_to_state(std::vector<Section> sections) {
   qnn::TrainingState state;
   bool have_meta = false, have_params = false, have_opt = false,
        have_rng = false, have_cursor = false, have_hist = false;
 
-  for (auto& s : sections) {
+  for (Section& s : sections) {
     if (s.is_delta()) {
       throw CorruptCheckpoint(
           "sections_to_state: unresolved delta section " +
@@ -126,11 +114,11 @@ qnn::TrainingState assemble_state(Sections& sections) {
         have_params = true;
         break;
       case SectionKind::kOptimizer:
-        state.optimizer_state = take(s.payload);
+        state.optimizer_state = std::move(s.payload);
         have_opt = true;
         break;
       case SectionKind::kRng:
-        state.rng_state = take(s.payload);
+        state.rng_state = std::move(s.payload);
         have_rng = true;
         break;
       case SectionKind::kDataCursor:
@@ -142,7 +130,7 @@ qnn::TrainingState assemble_state(Sections& sections) {
         have_hist = true;
         break;
       case SectionKind::kSimulator:
-        state.simulator_state = take(s.payload);
+        state.simulator_state = std::move(s.payload);
         break;
     }
   }
@@ -152,16 +140,6 @@ qnn::TrainingState assemble_state(Sections& sections) {
     throw CorruptCheckpoint("sections_to_state: required section missing");
   }
   return state;
-}
-
-}  // namespace
-
-qnn::TrainingState sections_to_state(const std::vector<Section>& sections) {
-  return assemble_state(sections);
-}
-
-qnn::TrainingState sections_to_state(std::vector<Section>&& sections) {
-  return assemble_state(sections);
 }
 
 }  // namespace qnn::ckpt

@@ -23,10 +23,9 @@ std::vector<Section> state_to_sections(const qnn::TrainingState& state,
 
 /// Reassembles a TrainingState from fully-resolved (non-delta) sections.
 /// Throws CorruptCheckpoint when required sections are missing or
-/// malformed. The simulator section is optional.
-qnn::TrainingState sections_to_state(const std::vector<Section>& sections);
-/// Same, moving the byte payloads (optimizer, RNG, simulator) into the
-/// state instead of copying them.
-qnn::TrainingState sections_to_state(std::vector<Section>&& sections);
+/// malformed. The simulator section is optional. The byte payloads
+/// (optimizer, RNG, simulator) are moved out of `sections`, so callers
+/// that pass an rvalue pay no copy of them.
+qnn::TrainingState sections_to_state(std::vector<Section> sections);
 
 }  // namespace qnn::ckpt
