@@ -12,6 +12,9 @@
 //     copy entry point AND the scalar oracle kept for parity testing.
 //     The "speedup_x" field is the ratio; on SSE4.2+PCLMUL hardware
 //     CRC32C should clear 1. LZ decode MB/s counts decoded bytes.
+//   * bytes/s of the LZ encoder on one 64 KiB chunk per content regime
+//     (raw bytes in). Its reference encoder lives in the tests, not the
+//     library, so these rows carry one MB/s figure and no ratio.
 //   * chunks/s for concurrent dedup probes against one ChunkStore at
 //     1/4/8 threads — the sharded index replaced the global mutex +
 //     std::map, so probe throughput should scale with threads instead
@@ -128,6 +131,40 @@ void emit_lz_decode_row(const char* content, const util::Bytes& raw) {
                               }));
 }
 
+/// A 48-byte motif repeated, one byte in 64 replaced at random: many
+/// short matches with literals between them.
+util::Bytes motif_bytes(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  const util::Bytes motif = random_bytes(48, seed + 1);
+  util::Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = rng() % 64 == 0 ? static_cast<std::uint8_t>(rng())
+                             : motif[i % motif.size()];
+  }
+  return out;
+}
+
+/// lz_encode MB/s of raw input on one 64 KiB chunk, the store's chunk
+/// size, encoded until kPasses * kBufBytes raw bytes have gone in.
+void emit_lz_encode_row(const char* content, const util::Bytes& raw) {
+  const int reps = static_cast<int>(kPasses * kBufBytes / raw.size());
+  g_sink = g_sink + codec::lz_encode(raw).size();  // warmup
+  util::Timer t;
+  for (int i = 0; i < reps; ++i) {
+    g_sink = g_sink + codec::lz_encode(raw).size();
+  }
+  const double s = t.seconds();
+  const double mb_s =
+      s > 0.0 ? static_cast<double>(raw.size()) * reps / s / 1e6 : 0.0;
+  std::printf("%-16s %-8s %10.0f\n", "lz_encode", content, mb_s);
+  bench::JsonLine("t8")
+      .field("metric", "lz_encode")
+      .field("content", content)
+      .field("mb_s", mb_s)
+      .field("gated", false)
+      .emit();
+}
+
 void bench_kernels() {
   const util::Bytes entropy = random_bytes(kBufBytes, 42);
   const util::Bytes runny = runny_bytes(kBufBytes, 43);
@@ -207,6 +244,13 @@ void bench_kernels() {
   emit_lz_decode_row("zeros", util::Bytes(kChunk, 0));
   emit_lz_decode_row("zero_tail", zero_tail);
   emit_lz_decode_row("entropy", random_bytes(kChunk, 46));
+
+  // LZ encode regimes of an install: the same three chunks plus a
+  // repeated motif with noise (many short matches).
+  emit_lz_encode_row("zeros", util::Bytes(kChunk, 0));
+  emit_lz_encode_row("zero_tail", zero_tail);
+  emit_lz_encode_row("entropy", random_bytes(kChunk, 46));
+  emit_lz_encode_row("motif", motif_bytes(kChunk, 47));
 }
 
 // --- concurrent dedup probes ------------------------------------------------

@@ -324,9 +324,24 @@ std::optional<std::uint64_t> parse_pack_file_name(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 ChunkStore::Batch::Batch(ChunkStore& store, std::uint64_t epoch)
-    : store_(store), epoch_(epoch) {}
+    : store_(store),
+      epoch_(epoch),
+      claim_(std::make_shared<ChunkClaim>(epoch)) {}
 
-ChunkStore::Batch::~Batch() { store_.unpin(refs_); }
+ChunkStore::Batch::~Batch() {
+  // Unpublished at death: borrowers waiting on this batch learn that
+  // its chunks will never be durable.
+  release_claims(ChunkClaim::Outcome::kDropped);
+  store_.unpin(refs_);
+}
+
+void ChunkStore::Batch::release_claims(ChunkClaim::Outcome outcome) {
+  for (const ChunkKey& key : claimed_) {
+    store_.index_.release_claim(key, claim_.get());
+  }
+  claimed_.clear();
+  claim_->settle(outcome);
+}
 
 bool ChunkStore::Batch::contains(const ChunkKey& key) {
   refs_.push_back(key);
@@ -337,22 +352,37 @@ bool ChunkStore::Batch::contains(const ChunkKey& key) {
   // Pin immediately, atomically with the probe: from this moment the
   // in-flight file counts on the chunk, and no sweep may reap it until
   // the batch dies.
-  const bool resident =
-      store_.index_.pin_and_probe(key) || staged_index_.contains(key);
-  if (resident) {
-    ++dedup_hits_;
-    dedup_bytes_ += key.len;
-    store_.dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-    store_.dedup_bytes_.fetch_add(key.len, std::memory_order_relaxed);
+  const ShardedChunkIndex::Probe probe =
+      store_.index_.pin_and_probe(key, claim_);
+  if (probe.claimed) {
+    claimed_.push_back(key);
   }
-  return resident;
+  bool hit = probe.resident || missed_.contains(key);
+  if (!hit && probe.lender) {
+    // An older batch is staging this chunk: reference its record.
+    // commit() waits for that batch to publish.
+    if (std::find(lenders_.begin(), lenders_.end(), probe.lender) ==
+        lenders_.end()) {
+      lenders_.push_back(probe.lender);
+    }
+    borrowed_.push_back(key);
+    hit = true;
+  }
+  if (!hit) {
+    missed_.insert(key);
+    return false;
+  }
+  ++dedup_hits_;
+  dedup_bytes_ += key.len;
+  store_.dedup_hits_.fetch_add(1, std::memory_order_relaxed);
+  store_.dedup_bytes_.fetch_add(key.len, std::memory_order_relaxed);
+  return true;
 }
 
 void ChunkStore::Batch::put(const ChunkKey& key, codec::CodecId codec,
                             ByteSpan encoded) {
-  if (staged_index_.contains(key)) {
-    return;  // duplicate chunk within one file: store one record
-  }
+  // One call per miss, and contains() misses a key at most once per
+  // batch, so every key gets one record.
   if (!stream_) {
     // First fresh chunk: open the packfile stream. The handle is
     // atomic, so nothing is visible until commit() — and an abandoned
@@ -363,7 +393,6 @@ void ChunkStore::Batch::put(const ChunkKey& key, codec::CodecId codec,
   const std::uint32_t enc_crc = util::crc32c(encoded);
   const std::uint64_t offset =
       stream_->append_record(key, codec, enc_crc, encoded);
-  staged_index_.emplace(key, records_.size());
   staged_raw_bytes_ += key.len;
   records_.push_back(StagedRecord{.key = key,
                                   .codec = codec,
@@ -377,6 +406,23 @@ std::string ChunkStore::Batch::pack_name() const {
 }
 
 void ChunkStore::Batch::commit() {
+  // A borrowed chunk lives in its lender's pack: this batch's files may
+  // reference it only once that pack is committed and indexed.
+  for (const std::shared_ptr<ChunkClaim>& lender : lenders_) {
+    if (lender->wait() != ChunkClaim::Outcome::kPublished) {
+      throw std::runtime_error("pack " + pack_name() +
+                               ": borrowed chunks of checkpoint " +
+                               std::to_string(lender->epoch()) +
+                               " were never published");
+    }
+  }
+  for (const ChunkKey& key : borrowed_) {
+    if (!store_.index_.resident(key)) {
+      throw std::runtime_error("pack " + pack_name() + ": borrowed chunk " +
+                               chunk_key_name(key) + " is not resident");
+    }
+  }
+  lenders_.clear();
   if (!stream_ || committed_) {
     return;
   }
@@ -404,8 +450,9 @@ std::unique_ptr<ChunkStore::Batch> ChunkStore::begin_batch(
   return std::unique_ptr<Batch>(new Batch(*this, epoch));
 }
 
-void ChunkStore::publish(const Batch& batch) {
+void ChunkStore::publish(Batch& batch) {
   if (batch.records_.empty()) {
+    batch.release_claims(ChunkClaim::Outcome::kPublished);
     return;
   }
   std::lock_guard lock(mu_);
@@ -451,6 +498,8 @@ void ChunkStore::publish(const Batch& batch) {
   }
   invalidate_pack_handle_locked(name);  // re-published epoch
   packs_[name] = std::move(pack);
+  // Indexed first, so a borrower woken here finds every chunk resident.
+  batch.release_claims(ChunkClaim::Outcome::kPublished);
 }
 
 bool ChunkStore::contains(const ChunkKey& key) {

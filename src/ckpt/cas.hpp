@@ -49,6 +49,17 @@
 // checkpoint's encode and its install cannot reap chunks the in-flight
 // file is about to reference.
 //
+// In-flight dedup (claim and borrow): a probe that misses claims the
+// key for its batch. A later batch that misses on a key claimed by an
+// OLDER live batch borrows it: a dedup hit, pinned as usual, with the
+// lender remembered. Before the borrower commits its pack it waits
+// until every lender has published, and throws when one died
+// unpublished, so its checkpoint is dropped rather than referencing a
+// chunk that never became durable. Writers install in checkpoint id
+// order, so with the default single writer the lender has always
+// published (or died) by then and the wait never blocks. Claims go
+// away when their batch publishes or dies.
+//
 // Tiered directories (tier::TieredEnv): the open-time scan indexes only
 // HOT-resident packfiles; cold packs are recorded and scanned lazily,
 // the first time a requested chunk is not resolvable from the hot index
@@ -82,6 +93,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -118,6 +130,12 @@ struct CasStats {
 
 class ChunkStore : public ChunkSource {
  public:
+  /// Open ranged pack handles kept in an LRU. A full 4 MiB state of
+  /// 64 KiB chunks spans about a dozen packs, and a chain fold or a
+  /// verify walks all of them per read; fewer slots reopened packs on
+  /// every read.
+  static constexpr std::size_t kPackHandleSlots = 16;
+
   ChunkStore(io::Env& env, std::string dir);
 
   /// One checkpoint's staging area, handed to the encoder as its
@@ -125,14 +143,17 @@ class ChunkStore : public ChunkSource {
   /// put() STREAMS the record into the batch's packfile through an
   /// atomic write handle opened at the first put — encode memory never
   /// holds more than the chunk in flight. Destroying the batch releases
-  /// its pins — on every path, including drops — and aborts an
-  /// uncommitted packfile stream (nothing ever appears on disk).
+  /// its pins and claims — on every path, including drops — and aborts
+  /// an uncommitted packfile stream (nothing ever appears on disk).
   class Batch final : public ChunkSink {
    public:
     ~Batch() override;
     Batch(const Batch&) = delete;
     Batch& operator=(const Batch&) = delete;
 
+    /// True when the chunk is resident, already missed earlier in this
+    /// batch, or borrowed from an older batch that claimed it. A miss
+    /// claims the key for this batch, and the caller must put() it.
     bool contains(const ChunkKey& key) override;
     void put(const ChunkKey& key, codec::CodecId codec,
              ByteSpan encoded) override;
@@ -142,12 +163,14 @@ class ChunkStore : public ChunkSource {
     [[nodiscard]] bool empty() const { return records_.empty(); }
     /// Packfile name for this batch ("pack-<epoch>.qpak").
     [[nodiscard]] std::string pack_name() const;
-    /// Finishes the streamed packfile — key table + footer — and
+    /// Waits until every batch this one borrowed from has published,
+    /// then finishes the streamed packfile — key table + footer — and
     /// atomically installs it. Call (on the writer thread in async
     /// mode) BEFORE any file referencing the batch's chunks is written:
-    /// the commit order IS the crash-consistency argument. No-op when
-    /// the batch staged nothing. Throws on I/O failure, in which case
-    /// nothing was installed.
+    /// the commit order IS the crash-consistency argument. The pack
+    /// step is a no-op when the batch staged nothing. Throws when a
+    /// lender died unpublished or a borrowed chunk is not resident, and
+    /// on I/O failure; in each case nothing was installed.
     void commit();
     /// True after a successful commit().
     [[nodiscard]] bool committed() const { return committed_; }
@@ -176,12 +199,22 @@ class ChunkStore : public ChunkSource {
     /// Defined out of line: members include a unique_ptr over the
     /// incomplete detail::PackStream.
     Batch(ChunkStore& store, std::uint64_t epoch);
+    /// Drops this batch's claims from the index and settles its
+    /// ChunkClaim (the first settlement wins).
+    void release_claims(ChunkClaim::Outcome outcome);
 
     ChunkStore& store_;
     std::uint64_t epoch_;
     std::unique_ptr<detail::PackStream> stream_;
     std::vector<StagedRecord> records_;
-    std::map<ChunkKey, std::size_t> staged_index_;
+    /// Keys that missed in this batch: it stores each of them once.
+    std::set<ChunkKey> missed_;
+    std::shared_ptr<ChunkClaim> claim_;
+    /// Keys this batch claimed in the index.
+    std::vector<ChunkKey> claimed_;
+    /// Distinct older batches this one borrowed from, and the keys.
+    std::vector<std::shared_ptr<ChunkClaim>> lenders_;
+    std::vector<ChunkKey> borrowed_;
     std::vector<ChunkKey> refs_;
     bool committed_ = false;
     std::uint64_t pack_bytes_ = 0;
@@ -194,10 +227,11 @@ class ChunkStore : public ChunkSource {
   std::unique_ptr<Batch> begin_batch(std::uint64_t epoch);
 
   /// Publishes a committed batch: its records enter the index and
-  /// become dedup targets for later checkpoints. Call AFTER
-  /// Batch::commit() succeeded — on the writer thread in async mode —
-  /// and never publish a batch whose commit failed.
-  void publish(const Batch& batch);
+  /// become dedup targets for later checkpoints, then its claims are
+  /// released and its borrowers may commit. Call AFTER Batch::commit()
+  /// succeeded — on the writer thread in async mode — and never
+  /// publish a batch whose commit failed.
+  void publish(Batch& batch);
 
   /// True when `key` is resolvable from a durable packfile.
   bool contains(const ChunkKey& key);
@@ -362,9 +396,6 @@ class ChunkStore : public ChunkSource {
   /// Dedup telemetry from the mu_-free probe path.
   std::atomic<std::uint64_t> dedup_hits_{0};
   std::atomic<std::uint64_t> dedup_bytes_{0};
-  /// Small LRU of open ranged pack handles (chain resolution alternates
-  /// between the parent chain's packs; one slot thrashed).
-  static constexpr std::size_t kPackHandleSlots = 4;
   struct CachedPackHandle {
     std::string name;
     std::unique_ptr<io::RandomAccessFile> file;

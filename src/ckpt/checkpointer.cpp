@@ -367,11 +367,15 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
           auto held = std::make_shared<util::GaugedBytes>(&encode_gauge_,
                                                           encoded.size());
           job->data = std::move(encoded);
-          if (batch && !batch->empty()) {
+          if (batch) {
             // The packfile commit precedes the checkpoint file: chunks
             // must be durable before anything references them. The
             // records were already streamed into the staged (invisible)
-            // pack during encode; commit() finishes and installs it.
+            // pack during encode; commit() first waits for the older
+            // batches this one borrowed chunks from to publish (they
+            // are ahead in the writer's FIFO), then finishes and
+            // installs the pack. A lender that died throws here, and
+            // on_failed drops this checkpoint.
             job->pre_install = [batch] { batch->commit(); };
           }
           job->on_installed = [this, entry, batch, held, parent_span] {
@@ -418,6 +422,10 @@ void Checkpointer::checkpoint_now(const qnn::TrainingState& state) {
           // un-committed pack stream aborts with the batch.
           job.reset();
         }
+        // The job alone owns the batch from here: a batch dies (and
+        // settles its claim for any borrower) as soon as its job does,
+        // never held back by this task blocking on writer backpressure.
+        batch.reset();
         enqueue_ready(entry.id, std::move(job));
       });
     } catch (const std::exception&) {

@@ -15,16 +15,26 @@
 // Nothing here ever takes mu_, so taking a shard lock while holding
 // mu_ is always safe and the reverse never happens. AllShards acquires
 // every shard in ascending index order; per-key methods would
-// self-deadlock while it is held, so it exposes its own accessors.
+// self-deadlock while it is held, so it exposes its own accessors. A
+// ChunkClaim's mutex is a leaf: it is never held while taking another
+// lock.
 //
-// An entry is kept only while it carries information (refs, pins, or a
-// pack location); every mutating method erases entries that drop to
-// all-zero, so the index never outgrows the live key population.
+// An entry is kept only while it carries information (refs, pins, a
+// pack location or an in-flight claim); every mutating method erases
+// entries that drop to all-zero, so the index never outgrows the live
+// key population.
+//
+// In-flight claims: a probe that misses claims the key for its batch
+// (a ChunkClaim) in the same entry, under the same shard lock. A later
+// batch that misses on a key an OLDER batch still claims borrows it
+// instead of storing it again (see ChunkStore::Batch::contains).
 #pragma once
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -34,6 +44,47 @@
 #include "ckpt/format.hpp"
 
 namespace qnn::ckpt {
+
+/// One encode batch's claim on the chunks it is staging: its epoch (the
+/// checkpoint id, which orders batches the way the writer installs
+/// them) and how the batch ended. A claim settles once: published (its
+/// records are indexed) or dropped (it died unpublished). Borrowers wait
+/// on it before they commit.
+class ChunkClaim {
+ public:
+  enum class Outcome { kPending, kPublished, kDropped };
+
+  explicit ChunkClaim(std::uint64_t epoch) : epoch_(epoch) {}
+  ChunkClaim(const ChunkClaim&) = delete;
+  ChunkClaim& operator=(const ChunkClaim&) = delete;
+
+  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
+
+  /// Records the outcome and wakes every waiter; no-op once settled.
+  void settle(Outcome outcome) {
+    {
+      std::lock_guard lock(mu_);
+      if (outcome_ != Outcome::kPending) {
+        return;
+      }
+      outcome_ = outcome;
+    }
+    settled_.notify_all();
+  }
+
+  /// Blocks until the claim settles and returns the outcome.
+  [[nodiscard]] Outcome wait() const {
+    std::unique_lock lock(mu_);
+    settled_.wait(lock, [this] { return outcome_ != Outcome::kPending; });
+    return outcome_;
+  }
+
+ private:
+  const std::uint64_t epoch_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable settled_;
+  Outcome outcome_ = Outcome::kPending;
+};
 
 class ShardedChunkIndex {
  public:
@@ -49,16 +100,52 @@ class ShardedChunkIndex {
 
   // --- hot path: one shard lock each -----------------------------------
 
+  /// What one dedup probe found.
+  struct Probe {
+    bool resident = false;  ///< indexed in a published pack
+    /// Set when the key is not resident but an older live batch has
+    /// claimed it: the prober may borrow that batch's record.
+    std::shared_ptr<ChunkClaim> lender;
+    bool claimed = false;  ///< the key is now claimed by `claim`
+  };
+
   /// Adds a pin AND reports residency under one shard lock — the
   /// atomicity the dedup protocol needs: a sweep serialised after this
   /// call sees the pin (chunk survives); one serialised before it has
   /// already erased the location (probe misses, chunk is re-stored).
-  bool pin_and_probe(const ChunkKey& key) {
+  /// A miss on an unclaimed key claims it for `claim` (non-null); a
+  /// miss on a key claimed by a batch of an older epoch reports that
+  /// batch as the lender. A key claimed by a batch of the same or a
+  /// newer epoch is a plain miss: the prober stores it itself.
+  Probe pin_and_probe(const ChunkKey& key,
+                      const std::shared_ptr<ChunkClaim>& claim) {
     Shard& s = shard_for(key);
     std::lock_guard lock(s.mu);
     Entry& e = s.map[key];
     ++e.pins;
-    return e.pack != kNoPack;
+    Probe probe;
+    if (e.pack != kNoPack) {
+      probe.resident = true;
+    } else if (!e.claim) {
+      e.claim = claim;
+      probe.claimed = true;
+    } else if (e.claim->epoch() < claim->epoch()) {
+      probe.lender = e.claim;
+    }
+    return probe;
+  }
+
+  /// Drops `claim`'s hold on `key`, if it still holds it (publish or
+  /// batch death).
+  void release_claim(const ChunkKey& key, const ChunkClaim* claim) {
+    Shard& s = shard_for(key);
+    std::lock_guard lock(s.mu);
+    const auto it = s.map.find(key);
+    if (it == s.map.end() || it->second.claim.get() != claim) {
+      return;
+    }
+    it->second.claim.reset();
+    erase_if_empty(s, it);
   }
 
   void unpin(const ChunkKey& key) {
@@ -233,6 +320,8 @@ class ShardedChunkIndex {
     std::uint64_t pins = 0;
     std::int32_t pack = kNoPack;
     std::uint32_t record = 0;
+    /// The live batch staging this key, while it is not resident.
+    std::shared_ptr<ChunkClaim> claim;
   };
 
   struct KeyHash {
@@ -252,7 +341,7 @@ class ShardedChunkIndex {
   };
 
   static bool entry_empty(const Entry& e) {
-    return e.refs == 0 && e.pins == 0 && e.pack == kNoPack;
+    return e.refs == 0 && e.pins == 0 && e.pack == kNoPack && !e.claim;
   }
 
   void erase_if_empty(Shard& s,

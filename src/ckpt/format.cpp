@@ -174,49 +174,50 @@ std::size_t extern_table_size(std::size_t n_chunks) {
 /// and storing only the non-resident ones) and returns the serialised key
 /// table that replaces the payload on disk.
 ///
-/// Chunks are processed in WAVES of `window` so at most one wave of
-/// encoded chunk buffers is ever alive — the O(chunk x workers) memory
-/// bound of the streaming encode path. The sink sees puts in chunk
-/// order (waves run in order), so packfile record order and the emitted
-/// key table are identical for any window size.
+/// Every chunk's key is computed up front across the pool (a few bytes
+/// per chunk). Then contains() runs once per chunk, in chunk order,
+/// until `window` misses are pending; that wave of misses is compressed
+/// across the pool and put() in chunk order. So every wave keeps the
+/// pool busy however sparse the misses are, and at most `window`
+/// encoded chunk buffers are alive at once: the O(chunk x window) memory
+/// bound of the streaming encode path. The sink sees the same probes and
+/// puts in the same order for any window size, so packfile record order
+/// and the emitted key table are identical for every window.
 Bytes encode_extern_section(codec::CodecId codec, ByteSpan payload,
                             std::size_t chunk_bytes, std::size_t window,
                             util::ThreadPool* pool, ChunkSink& sink,
                             util::MemGauge* gauge) {
   const std::size_t n_chunks = (payload.size() + chunk_bytes - 1) / chunk_bytes;
-  std::vector<ChunkKey> keys;
-  keys.reserve(n_chunks);
+  const auto chunk_of = [&](std::size_t c) {
+    const std::size_t begin = c * chunk_bytes;
+    return payload.subspan(begin,
+                           std::min(chunk_bytes, payload.size() - begin));
+  };
+  std::vector<ChunkKey> keys(n_chunks);
+  util::parallel_for(pool, 0, n_chunks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      keys[c] = chunk_key(chunk_of(c));
+    }
+  });
   std::vector<std::size_t> missing;
+  missing.reserve(window);
   std::vector<Bytes> encoded;
-  for (std::size_t base = 0; base < n_chunks; base += window) {
-    const std::size_t wave = std::min(window, n_chunks - base);
-    std::vector<ChunkKey> wave_keys(wave);
-    util::parallel_for(pool, 0, wave, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t begin = (base + i) * chunk_bytes;
-        const std::size_t len = std::min(chunk_bytes, payload.size() - begin);
-        wave_keys[i] = chunk_key(payload.subspan(begin, len));
-      }
-    });
-    // The dedup stage proper: contains() is called exactly once per
-    // chunk, in chunk order (the sink records the reference and pins
-    // the chunk against GC); only the misses pay for compression.
+  std::size_t next = 0;
+  while (next < n_chunks) {
+    // The dedup stage proper: contains() records the reference and pins
+    // the chunk against GC; only the misses pay for compression.
     missing.clear();
-    for (std::size_t i = 0; i < wave; ++i) {
-      keys.push_back(wave_keys[i]);
-      if (!sink.contains(wave_keys[i])) {
-        missing.push_back(base + i);
+    for (; next < n_chunks && missing.size() < window; ++next) {
+      if (!sink.contains(keys[next])) {
+        missing.push_back(next);
       }
     }
     encoded.assign(missing.size(), Bytes{});
     util::parallel_for(pool, 0, missing.size(), 1,
                        [&](std::size_t lo, std::size_t hi) {
                          for (std::size_t i = lo; i < hi; ++i) {
-                           const std::size_t begin = missing[i] * chunk_bytes;
-                           const std::size_t len =
-                               std::min(chunk_bytes, payload.size() - begin);
-                           encoded[i] = codec::encode(
-                               codec, payload.subspan(begin, len));
+                           encoded[i] =
+                               codec::encode(codec, chunk_of(missing[i]));
                          }
                        });
     std::uint64_t wave_bytes = 0;

@@ -161,7 +161,8 @@ std::optional<ChunkKey> parse_chunk_key_name(const std::string& name);
 /// once; when it returns false the chunk is compressed and handed to
 /// put(). An implementation returning true promises to keep the chunk
 /// resolvable at least until the batch it belongs to is released (the
-/// chunk store pins it against concurrent GC).
+/// chunk store pins it against concurrent GC). The encoder may probe up
+/// to one compression wave of misses ahead of their puts.
 class ChunkSink {
  public:
   virtual ~ChunkSink() = default;
@@ -271,10 +272,11 @@ struct EncodeOptions {
   /// become key tables and only non-resident chunks are compressed and
   /// stored — the cross-checkpoint dedup stage.
   ChunkSink* sink = nullptr;
-  /// Max chunks buffered in flight while encoding an extern section
-  /// (one compression wave). 0 = auto: 2x the pool's worker count (min
-  /// 4). This is the "workers" in the encode path's O(chunk x workers)
-  /// memory bound; the emitted bytes are identical for any window.
+  /// Max encoded chunks buffered in flight while encoding an extern
+  /// section: one compression wave holds up to this many dedup misses.
+  /// 0 = auto: 2x the pool's worker count, clamped to [4, 16]. This is
+  /// the "workers" in the encode path's O(chunk x workers) memory bound;
+  /// the emitted bytes are identical for any window.
   std::size_t encode_window = 0;
   /// When set, every transient encode buffer (an encoded chunk wave, a
   /// staged section stream) registers its bytes here — the measured

@@ -68,7 +68,20 @@ Bytes rle_decode(ByteSpan encoded, std::size_t raw_len);
 /// and the forced-scalar rows of the throughput bench.
 Bytes rle_encode_scalar(ByteSpan raw);
 
+/// Greedy LZ encoder. Keeps a per-thread head table across calls, so
+/// concurrent callers on different threads share no state.
 Bytes lz_encode(ByteSpan raw);
+
+namespace detail {
+/// lz_encode with the head table's base ceiling lowered from 2^32 to
+/// `base_limit` (clamped to [2, 2^32]): the table rebases whenever a
+/// call would store a value at or above it, and an input that cannot
+/// fit below it gets a 64-bit table of its own. Output is identical to
+/// lz_encode for every input and limit; tests use a small limit to
+/// reach both paths with small inputs.
+Bytes lz_encode_with_base_limit(ByteSpan raw, std::uint64_t base_limit);
+}  // namespace detail
+
 /// Decodes into a buffer reserved to raw_len: a literal run or a
 /// non-overlapping match is one memcpy, a distance-1 match one fill, and
 /// other overlapping matches expand by doubling copies of the period

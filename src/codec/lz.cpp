@@ -13,8 +13,17 @@
 // (head[hash] stores the most recent position), window-limited to kWindow.
 // Worst case (incompressible input): the whole input is one literal run,
 // expansion bound of n + O(varint overhead).
+//
+// The encoder keeps its head table per thread and reuses it across
+// calls. A slot holds a position plus the call's table base, and every
+// call's base lies above every value an earlier call stored, so stale
+// slots read as empty without clearing a table per call. Each position
+// still sees exactly the candidate a fresh table of positions would
+// give it, so the token stream is the same as that of a per-call table.
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -28,78 +37,174 @@ constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxMatch = 1 << 16;
 constexpr std::size_t kWindow = 1 << 16;
 constexpr std::size_t kHashBits = 16;
+constexpr std::size_t kHashSlots = std::size_t{1} << kHashBits;
 // Largest match_code the encoder emits (match_length caps at kMaxMatch).
 // Checked before len is computed: a code near 2^64 would wrap len to 0-2.
 constexpr std::uint64_t kMaxMatchCode = kMaxMatch - kMinMatch + 1;
+// Every value a u32 slot holds (base + position) stays below this.
+constexpr std::uint64_t kTableBaseLimit = std::uint64_t{1} << 32;
 
-inline std::uint32_t hash4(const std::uint8_t* p) {
+inline std::uint32_t load32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline std::uint32_t hash4(std::uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-/// Longest common prefix of [a, limit) and [b, limit-relative), capped.
-std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
-                         const std::uint8_t* limit) {
-  std::size_t n = 0;
-  while (a + n < limit && a[n] == b[n] && n < kMaxMatch) {
+inline void put_varint(Bytes& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// Length of the common prefix of a and b, which already agree on their
+/// first kMinMatch bytes, up to `max_len`: eight bytes per step, the
+/// first differing byte found from the XOR's lowest set bit.
+std::size_t extend_match(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t max_len) {
+  std::size_t n = kMinMatch;
+  while (n + 8 <= max_len) {
+    std::uint64_t x;
+    std::uint64_t y;
+    std::memcpy(&x, a + n, 8);
+    std::memcpy(&y, b + n, 8);
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return n + static_cast<std::size_t>(bit / 8);
+    }
+    n += 8;
+  }
+  while (n < max_len && a[n] == b[n]) {
     ++n;
   }
   return n;
 }
-}  // namespace
 
-Bytes lz_encode(ByteSpan raw) {
-  Bytes out;
-  out.reserve(raw.size() / 2 + 16);
-  if (raw.empty()) {
-    return out;
+/// Scans forward from `i` for the next position whose head-table
+/// candidate matches it for kMinMatch bytes, storing every scanned
+/// position in the table on the way. Returns that position and sets
+/// `dist` to the match distance, or returns a position past
+/// n - kMinMatch when no match starts before the end. Live slots hold
+/// `base + position`; a slot below `base` is empty.
+///
+/// The candidate test is branch-free: `bad` is non-zero when the slot
+/// is empty or outside the window, an invalid candidate reads position
+/// 0 (always in bounds), and `bad` is folded into the one comparison,
+/// so the scan takes one well-predicted branch per byte. Kept out of
+/// line so the scan's state stays in registers.
+template <typename Pos>
+[[gnu::noinline]] std::size_t find_match(const std::uint8_t* src,
+                                         std::size_t n, Pos* head, Pos base,
+                                         std::size_t i, std::size_t& dist) {
+  for (; i + kMinMatch <= n; ++i) {
+    const std::uint32_t word = load32(src + i);
+    Pos& slot = head[hash4(word)];
+    const Pos c = slot;
+    const Pos here = static_cast<Pos>(base + i);
+    slot = here;
+    const std::uint64_t d = static_cast<Pos>(here - c);
+    const std::uint64_t bad =
+        ((static_cast<std::uint64_t>(c) - base) >> 63) | ((d - 1) / kWindow);
+    const std::uint64_t keep = ((bad | (0 - bad)) >> 63) - 1;
+    const std::size_t cand = static_cast<std::size_t>((i - d) & keep);
+    if (((load32(src + cand) ^ word) | bad) == 0) {
+      dist = static_cast<std::size_t>(d);
+      return i;
+    }
   }
+  return i;
+}
 
-  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
-  const std::uint8_t* base = raw.data();
-  const std::uint8_t* limit = base + raw.size();
-
+/// The greedy matcher over a head table whose live slots hold
+/// `base + position`. The caller guarantees base >= 1 and that
+/// base + raw.size() - 1 fits in Pos.
+template <typename Pos>
+void greedy_encode(ByteSpan raw, Pos* head, Pos base, Bytes& out) {
+  const std::uint8_t* const src = raw.data();
+  const std::size_t n = raw.size();
   std::size_t lit_start = 0;
-  std::size_t i = 0;
-  while (i + kMinMatch <= raw.size()) {
-    const std::uint32_t h = hash4(base + i);
-    const std::int64_t cand = head[h];
-    head[h] = static_cast<std::int64_t>(i);
+  std::size_t dist = 0;
+  for (std::size_t i = find_match(src, n, head, base, 0, dist);
+       i + kMinMatch <= n;
+       i = find_match(src, n, head, base, i, dist)) {
+    const std::size_t len =
+        extend_match(src + i, src + i - dist, std::min(n - i, kMaxMatch));
+    // Emit pending literals, then the match token.
+    put_varint(out, i - lit_start);
+    out.insert(out.end(), src + lit_start, src + i);
+    put_varint(out, len - kMinMatch + 1);
+    put_varint(out, dist);
 
-    std::size_t len = 0;
-    if (cand >= 0 && i - static_cast<std::size_t>(cand) <= kWindow) {
-      len = match_length(base + i, base + cand, limit);
+    // Insert hash entries inside the match so later matches can land
+    // there too (sparse stride keeps encoding fast).
+    const std::size_t end = i + len;
+    for (std::size_t j = i + 1; j + kMinMatch <= n && j < end; j += 2) {
+      head[hash4(load32(src + j))] = static_cast<Pos>(base + j);
     }
-    if (len >= kMinMatch) {
-      // Emit pending literals, then the match token.
-      util::put_varint(out, i - lit_start);
-      out.insert(out.end(),
-                 raw.begin() + static_cast<std::ptrdiff_t>(lit_start),
-                 raw.begin() + static_cast<std::ptrdiff_t>(i));
-      util::put_varint(out, len - kMinMatch + 1);
-      util::put_varint(out, i - static_cast<std::size_t>(cand));
-
-      // Insert hash entries inside the match so later matches can land
-      // there too (sparse stride keeps encoding fast).
-      const std::size_t end = i + len;
-      for (std::size_t j = i + 1; j + kMinMatch <= raw.size() && j < end;
-           j += 2) {
-        head[hash4(base + j)] = static_cast<std::int64_t>(j);
-      }
-      i = end;
-      lit_start = i;
-    } else {
-      ++i;
-    }
+    i = end;
+    lit_start = i;
   }
 
   // Trailing literals + end marker.
-  util::put_varint(out, raw.size() - lit_start);
-  out.insert(out.end(), raw.begin() + static_cast<std::ptrdiff_t>(lit_start),
-             raw.end());
-  util::put_varint(out, 0);
+  put_varint(out, n - lit_start);
+  out.insert(out.end(), src + lit_start, src + n);
+  put_varint(out, 0);
+}
+
+/// One thread's head table, reused by every call on that thread.
+struct PositionTable {
+  std::unique_ptr<std::uint32_t[]> slots;
+  std::uint64_t next_base = 1;  ///< above every value stored so far
+};
+
+thread_local PositionTable t_positions;
+}  // namespace
+
+namespace detail {
+Bytes lz_encode_with_base_limit(ByteSpan raw, std::uint64_t base_limit) {
+  Bytes out;
+  if (raw.empty()) {
+    return out;
+  }
+  // Sized for an incompressible input, which is then never regrown;
+  // a compressible one gives the slack back below.
+  out.reserve(raw.size() + raw.size() / 64 + 16);
+  base_limit = std::clamp<std::uint64_t>(base_limit, 2, kTableBaseLimit);
+  if (raw.size() >= base_limit - 1) {
+    // Positions from base 1 would not stay below the limit: a fresh
+    // 64-bit table for this call alone.
+    std::vector<std::uint64_t> wide(kHashSlots, 0);
+    greedy_encode<std::uint64_t>(raw, wide.data(), 1, out);
+  } else {
+    PositionTable& table = t_positions;
+    if (!table.slots) {
+      table.slots = std::make_unique<std::uint32_t[]>(kHashSlots);
+    }
+    if (table.next_base + raw.size() > base_limit) {
+      // Rebase: clear the table once and start again from base 1.
+      std::fill_n(table.slots.get(), kHashSlots, 0);
+      table.next_base = 1;
+    }
+    const auto base = static_cast<std::uint32_t>(table.next_base);
+    table.next_base += raw.size();
+    greedy_encode<std::uint32_t>(raw, table.slots.get(), base, out);
+  }
+  if (out.capacity() - out.size() > out.size()) {
+    out.shrink_to_fit();
+  }
   return out;
+}
+}  // namespace detail
+
+Bytes lz_encode(ByteSpan raw) {
+  return detail::lz_encode_with_base_limit(raw, kTableBaseLimit);
 }
 
 // The scalar decoder and the wide one (behind lz_decode and

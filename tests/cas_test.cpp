@@ -18,7 +18,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "ckpt/cas.hpp"
@@ -26,9 +31,11 @@
 #include "ckpt/recovery.hpp"
 #include "ckpt/store.hpp"
 #include "ckpt/verify.hpp"
+#include "io/fault_env.hpp"
 #include "io/mem_env.hpp"
 #include "util/crc.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qnn::ckpt {
 namespace {
@@ -570,20 +577,21 @@ ChunkKey store_one_pack(ChunkStore& store, std::uint64_t epoch) {
   return key;
 }
 
-TEST(Cas, PackHandleCacheHoldsFourPacksWithoutReopens) {
-  // Interleaved reads across up to four packs must reuse cached
-  // handles: the old single-slot cache thrashed (reopen per get) the
-  // moment two packs alternated.
+TEST(Cas, PackHandleCacheHoldsEverySlotWithoutReopens) {
+  // Interleaved reads across as many packs as the cache has slots must
+  // reuse cached handles: the old single-slot cache thrashed (reopen
+  // per get) the moment two packs alternated.
+  constexpr std::size_t kPacks = ChunkStore::kPackHandleSlots;
   const auto base_heap = std::make_unique<io::MemEnv>();
   io::MemEnv& base = *base_heap;
   CountingEnv env(base);
   const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
   ChunkStore& store = *store_heap;
   std::vector<ChunkKey> keys;
-  for (std::uint64_t epoch = 1; epoch <= 4; ++epoch) {
+  for (std::uint64_t epoch = 1; epoch <= kPacks; ++epoch) {
     keys.push_back(store_one_pack(store, epoch));
   }
-  // First round may open packs; afterwards all four handles are hot.
+  // First round may open packs; afterwards every handle is hot.
   for (const ChunkKey& key : keys) {
     store.get(key);
   }
@@ -594,24 +602,26 @@ TEST(Cas, PackHandleCacheHoldsFourPacksWithoutReopens) {
     }
   }
   EXPECT_EQ(env.ranged_opens, warm)
-      << "interleaved gets across <= 4 packs must not reopen files";
+      << "interleaved gets across <= " << kPacks
+      << " packs must not reopen files";
   EXPECT_EQ(store.stats().pack_handle_evictions, 0u);
 }
 
 TEST(Cas, PackHandleCacheEvictsLeastRecentlyUsed) {
+  constexpr std::size_t kPacks = ChunkStore::kPackHandleSlots + 2;
   const auto base_heap = std::make_unique<io::MemEnv>();
   io::MemEnv& base = *base_heap;
   CountingEnv env(base);
   const auto store_heap = std::make_unique<ChunkStore>(env, "cp");
   ChunkStore& store = *store_heap;
   std::vector<ChunkKey> keys;
-  for (std::uint64_t epoch = 1; epoch <= 6; ++epoch) {
+  for (std::uint64_t epoch = 1; epoch <= kPacks; ++epoch) {
     keys.push_back(store_one_pack(store, epoch));
   }
   const std::uint64_t warm = env.ranged_opens;
-  // Cycling six packs through four slots evicts on every get (LRU's
-  // worst case) — the point is that eviction HAPPENS and is counted,
-  // not that cycling is fast.
+  // Cycling two more packs than there are slots evicts on every get
+  // (LRU's worst case) — the point is that eviction HAPPENS and is
+  // counted, not that cycling is fast.
   for (int round = 0; round < 3; ++round) {
     for (const ChunkKey& key : keys) {
       EXPECT_EQ(store.get(key).size(), key.len);
@@ -700,6 +710,362 @@ TEST(Cas, ShardedIndexConcurrentProbesAndRefsStayExact) {
     ASSERT_EQ(store.ref_count(key), expected);
   }
   EXPECT_EQ(store.get(keys[0]), payloads[0]);
+}
+
+// ---------- compression waves ----------
+
+TEST(Cas, WavesKeepRecordOrderAndKeyTableForEveryWindow) {
+  // A 64-chunk extern section of which only every fifth chunk and a
+  // repeated all-zero chunk are new: each wave probes until it holds
+  // `window` misses, so how many chunks a wave spans depends on the
+  // window. The pack's records, the key table and every container byte
+  // must not.
+  constexpr std::size_t kChunk = 256;
+  constexpr std::size_t kChunks = 64;
+  util::Rng rng(515);
+  Bytes payload(kChunks * kChunk + 100);
+  for (auto& b : payload) {
+    b = static_cast<std::uint8_t>(rng());
+  }
+  for (const std::size_t zero : {7, 21, 22, 40}) {
+    std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(zero * kChunk),
+                kChunk, 0);
+  }
+  const auto chunk_at = [&](std::size_t c) {
+    const std::size_t begin = c * kChunk;
+    return ByteSpan(payload).subspan(
+        begin, std::min(kChunk, payload.size() - begin));
+  };
+  CheckpointFile file;
+  file.checkpoint_id = 2;
+  file.sections.push_back(Section{.kind = SectionKind::kParams,
+                                  .codec = codec::CodecId::kLz,
+                                  .payload = payload});
+
+  struct Outcome {
+    Bytes container;
+    Bytes pack;
+    std::vector<ChunkKey> records;
+    std::uint64_t dedup_hits = 0;
+  };
+  std::vector<Outcome> outcomes;
+  for (const std::size_t window : {1, 4, 16}) {
+    const auto env_heap = std::make_unique<io::MemEnv>();
+    const auto store_heap = std::make_unique<ChunkStore>(*env_heap, "cp");
+    const auto pool_heap = std::make_unique<util::ThreadPool>(3);
+    ChunkStore& store = *store_heap;
+    {
+      // Resident: every chunk but the fifths and the zero chunks.
+      auto batch = store.begin_batch(1);
+      for (std::size_t c = 0; c <= kChunks; ++c) {
+        const ChunkKey key = chunk_key(chunk_at(c));
+        if (c % 5 != 0 && key != chunk_key(Bytes(kChunk, 0)) &&
+            !batch->contains(key)) {
+          batch->put(key, codec::CodecId::kRaw, chunk_at(c));
+        }
+      }
+      batch->commit();
+      store.publish(*batch);
+    }
+    auto batch = store.begin_batch(2);
+    Outcome o;
+    o.container = encode_checkpoint(
+        file, EncodeOptions{.chunk_bytes = kChunk,
+                            .pool = pool_heap.get(),
+                            .version = 3,
+                            .sink = batch.get(),
+                            .encode_window = window});
+    batch->commit();
+    store.publish(*batch);
+    o.dedup_hits = batch->dedup_hits();
+    const std::string pack = "cp/chunks/" + pack_file_name(2);
+    o.pack = *env_heap->read_file(pack);
+    o.records = list_pack_keys(*env_heap, pack);
+    outcomes.push_back(std::move(o));
+  }
+  // Misses in chunk order, the zero chunk once (its repeats hit).
+  std::vector<ChunkKey> expected;
+  for (std::size_t c = 0; c <= kChunks; ++c) {
+    const ChunkKey key = chunk_key(chunk_at(c));
+    if ((c % 5 == 0 || key == chunk_key(Bytes(kChunk, 0))) &&
+        std::find(expected.begin(), expected.end(), key) == expected.end()) {
+      expected.push_back(key);
+    }
+  }
+  EXPECT_EQ(outcomes[0].records, expected);
+  EXPECT_EQ(outcomes[0].dedup_hits, kChunks + 1 - expected.size());
+  for (std::size_t i = 1; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].records, outcomes[0].records) << "window " << i;
+    EXPECT_EQ(outcomes[i].container, outcomes[0].container) << "window " << i;
+    EXPECT_EQ(outcomes[i].pack, outcomes[0].pack) << "window " << i;
+    EXPECT_EQ(outcomes[i].dedup_hits, outcomes[0].dedup_hits)
+        << "window " << i;
+  }
+}
+
+// ---------- in-flight dedup across async batches ----------
+
+/// Holds every checkpoint-container write until release(): the writer
+/// stops at the first install, so the encodes queued behind it probe
+/// while every older batch is still unpublished. Optionally streams one
+/// packfile through `pack_env` instead (a FaultEnv failing its install).
+class HoldInstallsEnv final : public io::ForwardingEnv {
+ public:
+  explicit HoldInstallsEnv(io::Env& base, io::Env* pack_env = nullptr,
+                           std::string pack_name = {})
+      : ForwardingEnv(base),
+        pack_env_(pack_env),
+        pack_name_(std::move(pack_name)) {}
+
+  std::unique_ptr<io::WritableFile> new_writable(const std::string& path,
+                                                 io::WriteMode mode) override {
+    if (pack_env_ != nullptr && path.ends_with("/" + pack_name_)) {
+      return pack_env_->new_writable(path, mode);
+    }
+    return base_.new_writable(path, mode);
+  }
+
+  void write_file_atomic(const std::string& path,
+                         util::ByteSpan data) override {
+    if (path.find("/ckpt-") != std::string::npos) {
+      std::unique_lock lock(mu_);
+      released_cv_.wait(lock, [this] { return released_; });
+    }
+    Env::write_file_atomic(path, data);
+  }
+
+  void release() {
+    {
+      std::lock_guard lock(mu_);
+      released_ = true;
+    }
+    released_cv_.notify_all();
+  }
+
+ private:
+  io::Env* const pack_env_;
+  const std::string pack_name_;
+  std::mutex mu_;
+  std::condition_variable released_cv_;
+  bool released_ = false;
+};
+
+/// s2 shares every params chunk with s1 but the tail holding its moving
+/// doubles; s3 repeats s2's params. Nothing is resident when they probe
+/// under HoldInstallsEnv, so batch 2 borrows from batch 1 and batch 3
+/// borrows everything from batches 1 and 2.
+std::vector<qnn::TrainingState> overlap_states() {
+  std::vector<qnn::TrainingState> states = {big_state(1), big_state(2),
+                                            big_state(2)};
+  states[2].step = 3;
+  return states;
+}
+
+CheckpointPolicy overlap_policy() {
+  CheckpointPolicy policy = cas_policy();
+  policy.async = true;
+  policy.encode_threads = 1;  // encodes probe in checkpoint order
+  policy.encode_queue = 3;
+  return policy;
+}
+
+/// The same states checkpointed synchronously, where each batch
+/// publishes before the next probes: the reference chunk ledger.
+struct SyncLedger {
+  std::uint64_t chunk_refs = 0;
+  std::uint64_t chunks_deduped = 0;
+  std::uint64_t chunks_written = 0;
+};
+
+SyncLedger sync_ledger(const std::vector<qnn::TrainingState>& states) {
+  const auto env_heap = std::make_unique<io::MemEnv>();
+  CheckpointPolicy policy = overlap_policy();
+  policy.async = false;
+  const auto ck_heap = std::make_unique<Checkpointer>(*env_heap, "cp", policy);
+  for (const qnn::TrainingState& s : states) {
+    ck_heap->checkpoint_now(s);
+  }
+  return {.chunk_refs = ck_heap->stats().chunk_refs,
+          .chunks_deduped = ck_heap->stats().chunks_deduped,
+          .chunks_written = ck_heap->cas_stats().chunks_written};
+}
+
+/// Checkpoints `states` while `hold` keeps the writer at the first
+/// install, waits until every encode has probed (`chunk_refs` refs in
+/// all) or `dead` reports the process gone, then releases and flushes.
+void checkpoint_overlapped(Checkpointer& ck, HoldInstallsEnv& hold,
+                           const std::vector<qnn::TrainingState>& states,
+                           std::uint64_t chunk_refs,
+                           const std::function<bool()>& dead = {}) {
+  for (const qnn::TrainingState& s : states) {
+    ck.checkpoint_now(s);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (ck.stats().chunk_refs < chunk_refs && !(dead && dead())) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "encodes did not finish probing";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  hold.release();
+  ck.flush();
+}
+
+std::vector<std::string> pack_files(io::Env& env) {
+  std::vector<std::string> packs;
+  for (const std::string& name : env.list_dir("cp/chunks")) {
+    if (parse_pack_file_name(name)) {
+      packs.push_back(name);
+    }
+  }
+  std::sort(packs.begin(), packs.end());
+  return packs;
+}
+
+TEST(Cas, InFlightBatchesBorrowClaimedChunksInsteadOfRestoringThem) {
+  const std::vector<qnn::TrainingState> states = overlap_states();
+  const SyncLedger sync = sync_ledger(states);
+  ASSERT_GT(sync.chunks_deduped, 0u);
+  const auto mem_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& mem = *mem_heap;
+  const auto hold_heap = std::make_unique<HoldInstallsEnv>(mem);
+  {
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(*hold_heap, "cp", overlap_policy());
+    Checkpointer& ck = *ck_heap;
+    checkpoint_overlapped(ck, *hold_heap, states, sync.chunk_refs);
+    const auto stats = ck.stats();
+    EXPECT_EQ(stats.dropped_writes, 0u);
+    EXPECT_EQ(stats.chunk_refs, sync.chunk_refs);
+    // No batch was published while the others probed, so every hit is
+    // a borrow; they count as dedup hits, exactly as sync mode's
+    // published hits do, and nothing is stored twice.
+    EXPECT_EQ(stats.chunks_deduped, sync.chunks_deduped);
+    EXPECT_EQ(ck.cas_stats().chunks_written, sync.chunks_written);
+  }
+  // Batch 3 borrowed everything: it wrote no pack.
+  EXPECT_EQ(pack_files(mem), (std::vector<std::string>{pack_file_name(1),
+                                                       pack_file_name(2)}));
+  std::set<ChunkKey> seen;
+  std::size_t records = 0;
+  for (const std::string& pack : pack_files(mem)) {
+    for (const ChunkKey& key : list_pack_keys(mem, "cp/chunks/" + pack)) {
+      EXPECT_TRUE(seen.insert(key).second)
+          << chunk_key_name(key) << " stored in more than one record";
+      ++records;
+    }
+  }
+  EXPECT_EQ(records, sync.chunks_written);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    EXPECT_EQ(load_checkpoint(mem, "cp", id), states[id - 1]) << id;
+  }
+  const auto outcome = recover_latest(mem, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 3u);
+  EXPECT_EQ(outcome->state, states[2]);
+  EXPECT_TRUE(verify_directory(mem, "cp").healthy());
+}
+
+TEST(Cas, LenderDeathDropsItsBorrowers) {
+  // Batch 2's pack install fails: batch 3, which borrowed batch 2's new
+  // chunks, must not be listed, since those chunks never became durable.
+  const std::vector<qnn::TrainingState> states = overlap_states();
+  const SyncLedger sync = sync_ledger(states);
+  const auto mem_heap = std::make_unique<io::MemEnv>();
+  io::MemEnv& mem = *mem_heap;
+  const auto fault_heap = std::make_unique<io::FaultEnv>(
+      mem, io::FaultSpec{.torn_write_prob = 1.0,
+                         .crash_prob = 1.0,
+                         .fault_atomic_writes = true});
+  const auto hold_heap = std::make_unique<HoldInstallsEnv>(
+      mem, fault_heap.get(), pack_file_name(2));
+  // Repeats s2's params, including the chunks only dead batch 2 claimed.
+  qnn::TrainingState after = states[1];
+  after.step = 4;
+  {
+    const auto ck_heap =
+        std::make_unique<Checkpointer>(*hold_heap, "cp", overlap_policy());
+    Checkpointer& ck = *ck_heap;
+    checkpoint_overlapped(ck, *hold_heap, states, sync.chunk_refs);
+    EXPECT_EQ(fault_heap->faults_injected(), 1u);
+    // The lender and its borrower.
+    EXPECT_EQ(ck.stats().dropped_writes, 2u);
+    const Manifest manifest = Manifest::load(mem, "cp");
+    ASSERT_EQ(manifest.entries().size(), 1u);
+    EXPECT_EQ(manifest.entries()[0].id, 1u);
+    const auto outcome = recover_latest(mem, "cp");
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->checkpoint_id, 1u);
+    EXPECT_EQ(outcome->state, states[0]);
+    EXPECT_TRUE(verify_directory(mem, "cp").healthy());
+    // The dead claims are gone: the next checkpoint stores the chunks
+    // batch 2 claimed itself and installs.
+    ck.checkpoint_now(after);
+    ck.flush();
+    EXPECT_EQ(ck.stats().dropped_writes, 2u);
+  }
+  const auto outcome = recover_latest(mem, "cp");
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->checkpoint_id, 4u);
+  EXPECT_EQ(outcome->state, after);
+  EXPECT_EQ(load_checkpoint(mem, "cp", 1), states[0]);
+  const DirectoryReport report = verify_directory(mem, "cp");
+  EXPECT_TRUE(report.healthy());
+  for (const CheckpointReport& c : report.checkpoints) {
+    EXPECT_EQ(c.health, CheckpointHealth::kIntact) << c.id;
+  }
+}
+
+TEST(Cas, BorrowingAsyncRunSurvivesEveryCrashPoint) {
+  const std::vector<qnn::TrainingState> states = overlap_states();
+  const SyncLedger sync = sync_ledger(states);
+  std::uint64_t written_uncrashed = 0;
+  const auto r = io::enumerate_crash_schedules(
+      [] { return std::make_unique<io::MemEnv>(); },
+      [&](io::CrashScheduleEnv& env) {
+        const auto hold_heap = std::make_unique<HoldInstallsEnv>(env);
+        const auto ck_heap =
+            std::make_unique<Checkpointer>(*hold_heap, "cp", overlap_policy());
+        checkpoint_overlapped(*ck_heap, *hold_heap, states, sync.chunk_refs,
+                              [&env] { return env.crashed(); });
+        if (!env.crashed()) {
+          written_uncrashed = ck_heap->cas_stats().chunks_written;
+        }
+      },
+      [&](io::Env& base, const io::CrashPlan& plan) {
+        const std::string at = "crash at op " +
+                               std::to_string(plan.crash_at_op) + " durable " +
+                               std::to_string(plan.durable_bytes);
+        const Manifest manifest = Manifest::load(base, "cp");
+        if (plan.crash_at_op == 0) {
+          EXPECT_EQ(manifest.entries().size(), states.size()) << at;
+        }
+        // A listed entry referencing an absent chunk fails to load.
+        for (const ManifestEntry& e : manifest.entries()) {
+          try {
+            EXPECT_EQ(load_checkpoint(base, "cp", e.id), states[e.id - 1])
+                << at << ": entry " << e.id;
+          } catch (const std::exception& ex) {
+            ADD_FAILURE() << at << ": entry " << e.id
+                          << " does not resolve: " << ex.what();
+          }
+        }
+        const auto outcome = recover_latest(base, "cp");
+        if (!manifest.entries().empty()) {
+          ASSERT_TRUE(outcome.has_value()) << at;
+          EXPECT_NE(manifest.find(outcome->checkpoint_id), nullptr) << at;
+          EXPECT_EQ(outcome->state, states[outcome->checkpoint_id - 1]) << at;
+        }
+      },
+      1, {0, 13, io::kOpDurable});
+  // The uncrashed run borrowed: no chunk was stored twice.
+  EXPECT_EQ(written_uncrashed, sync.chunks_written);
+  EXPECT_GT(r.points_run, 10u);
+  std::printf("borrowing crash sweep: %llu ops, %llu crash points\n",
+              static_cast<unsigned long long>(r.total_ops),
+              static_cast<unsigned long long>(r.points_run));
 }
 
 TEST(Cas, PackFileNameRoundTrips) {

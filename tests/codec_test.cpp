@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 
 #include "codec/codec.hpp"
 #include "codec/xor_delta.hpp"
@@ -461,6 +462,193 @@ TEST(LzParity, RandomTokenStreamFuzz) {
   // The mix exercises both outcomes, not only rejections.
   EXPECT_GT(accepted, 40);
   EXPECT_LT(accepted, 360);
+}
+
+// ---------- LZ encoder vs the greedy reference ----------
+//
+// lz_encode keeps a per-thread head table across calls, tests candidates
+// without branches and extends matches eight bytes at a time. None of
+// that may change a single output byte: the reference below is the
+// straightforward encoder it replaced (a fresh 64-bit table per call,
+// byte-wise match extension), and every test compares bytes, not just
+// round trips.
+
+Bytes greedy_lz_reference(ByteSpan raw) {
+  constexpr std::size_t kMinMatch = 4;
+  constexpr std::size_t kMaxMatch = 1 << 16;
+  constexpr std::size_t kWindow = 1 << 16;
+  constexpr std::size_t kHashBits = 16;
+  const auto hash4 = [](const std::uint8_t* p) {
+    std::uint32_t v;
+    std::memcpy(&v, p, 4);
+    return (v * 2654435761u) >> (32 - kHashBits);
+  };
+  Bytes out;
+  if (raw.empty()) {
+    return out;
+  }
+  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
+  const std::uint8_t* base = raw.data();
+  std::size_t lit_start = 0;
+  std::size_t i = 0;
+  while (i + kMinMatch <= raw.size()) {
+    const std::uint32_t h = hash4(base + i);
+    const std::int64_t cand = head[h];
+    head[h] = static_cast<std::int64_t>(i);
+    std::size_t len = 0;
+    if (cand >= 0 && i - static_cast<std::size_t>(cand) <= kWindow) {
+      while (i + len < raw.size() && base[i + len] == base[cand + len] &&
+             len < kMaxMatch) {
+        ++len;
+      }
+    }
+    if (len < kMinMatch) {
+      ++i;
+      continue;
+    }
+    util::put_varint(out, i - lit_start);
+    out.insert(out.end(), base + lit_start, base + i);
+    util::put_varint(out, len - kMinMatch + 1);
+    util::put_varint(out, i - static_cast<std::size_t>(cand));
+    const std::size_t end = i + len;
+    for (std::size_t j = i + 1; j + kMinMatch <= raw.size() && j < end;
+         j += 2) {
+      head[hash4(base + j)] = static_cast<std::int64_t>(j);
+    }
+    i = end;
+    lit_start = i;
+  }
+  util::put_varint(out, raw.size() - lit_start);
+  out.insert(out.end(), base + lit_start, base + raw.size());
+  util::put_varint(out, 0);
+  return out;
+}
+
+/// One seeded fuzz input: entropy, a small alphabet, a noisy motif,
+/// an entropy prefix with a zero tail, or a block repeated just inside
+/// or just outside the 64 KiB window.
+Bytes lz_fuzz_input(util::Rng& rng, std::size_t n) {
+  Bytes out(n);
+  switch (rng.uniform_u64(5)) {
+    case 0:
+      for (auto& b : out) {
+        b = static_cast<std::uint8_t>(rng());
+      }
+      break;
+    case 1: {
+      const std::uint64_t alphabet = 2 + rng.uniform_u64(6);
+      for (auto& b : out) {
+        b = static_cast<std::uint8_t>('a' + rng.uniform_u64(alphabet));
+      }
+      break;
+    }
+    case 2: {
+      Bytes motif(1 + rng.uniform_u64(64));
+      for (auto& b : motif) {
+        b = static_cast<std::uint8_t>(rng());
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        out[i] = motif[i % motif.size()];
+        if (rng.uniform_u64(40) == 0) {
+          out[i] = static_cast<std::uint8_t>(rng());
+        }
+      }
+      break;
+    }
+    case 3: {
+      const std::size_t keep = rng.uniform_u64(n + 1);
+      for (std::size_t i = 0; i < keep; ++i) {
+        out[i] = static_cast<std::uint8_t>(rng());
+      }
+      break;
+    }
+    default: {
+      for (auto& b : out) {
+        b = static_cast<std::uint8_t>(rng());
+      }
+      // Copy a block to a distance within a few bytes of the window.
+      const std::size_t dist = (std::size_t{1} << 16) - 3 + rng.uniform_u64(7);
+      for (std::size_t i = dist; i < n && i < dist + 600; ++i) {
+        out[i] = out[i - dist];
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LzEncodeParity, MatchesReferenceOnEveryPayload) {
+  std::vector<PayloadCase> cases = payload_cases();
+  Bytes abc;
+  for (int i = 0; i < 1000; ++i) {
+    abc.push_back(static_cast<std::uint8_t>("abc"[i % 3]));
+  }
+  cases.push_back({"abc_runs", abc});
+  Bytes window = incompressible(1 << 16, 20);
+  window.insert(window.end(), window.begin(), window.begin() + 512);
+  cases.push_back({"window_boundary", window});
+  cases.push_back({"text_256", repeated_text(256)});
+  for (const PayloadCase& pc : cases) {
+    EXPECT_EQ(lz_encode(pc.data), greedy_lz_reference(pc.data)) << pc.name;
+  }
+}
+
+TEST(LzEncodeParity, SeededFuzzOnOneThread) {
+  // Many calls on one thread: every call after the first reuses the
+  // thread's head table, whose slots still hold earlier inputs.
+  util::Rng rng(20261020);
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_u64(70001));
+    const Bytes data = lz_fuzz_input(rng, n);
+    ASSERT_EQ(lz_encode(data), greedy_lz_reference(data))
+        << "trial " << trial << " n=" << n;
+  }
+}
+
+TEST(LzEncodeParity, ConcurrentThreadsMatchReference) {
+  // Each thread has its own table; interleaved calls on four threads
+  // must each produce the reference bytes.
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      util::Rng rng(1000 + static_cast<std::uint64_t>(t));
+      for (int trial = 0; trial < 60; ++trial) {
+        const auto n = static_cast<std::size_t>(rng.uniform_u64(70001));
+        const Bytes data = lz_fuzz_input(rng, n);
+        if (lz_encode(data) != greedy_lz_reference(data)) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+}
+
+TEST(LzEncodeParity, TableRebaseKeepsOutput) {
+  // A base limit of a few inputs' worth makes the table rebase every
+  // few calls (the path a thread reaches after 4 GiB of input), and
+  // inputs at or above the limit take the 64-bit table.
+  util::Rng rng(77);
+  int wide = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint64_t limit = 2 + rng.uniform_u64(150000);
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_u64(70001));
+    wide += n + 1 >= limit ? 1 : 0;
+    const Bytes data = lz_fuzz_input(rng, n);
+    ASSERT_EQ(detail::lz_encode_with_base_limit(data, limit),
+              greedy_lz_reference(data))
+        << "trial " << trial << " n=" << n << " limit=" << limit;
+    // The default entry point right after a small-limit call.
+    ASSERT_EQ(lz_encode(data), greedy_lz_reference(data)) << "trial " << trial;
+  }
+  EXPECT_GT(wide, 10);
+  EXPECT_LT(wide, 290);
 }
 
 // ---------- XOR delta ----------
